@@ -14,9 +14,22 @@ import numpy as np
 
 @dataclass
 class Alignment:
-    """Per-source complex alignment parameters alpha_i (all nonzero)."""
+    """Per-source alignment of an iterate onto a reference, computed once.
+
+    alpha[i] (nonzero) minimizes g_i(alpha) = ||h_i/conj(alpha) - h'_i||^2 +
+    ||alpha x_i - x'_i||^2, and error[i] = g_i(alpha[i]) is the aligned
+    squared error. dist and the incoherence measures derive from these.
+    """
 
     alpha: np.ndarray  # (s,) complex
+    error: np.ndarray  # (s,) float
+
+    def dist(self, d) -> float:
+        """sqrt(sum_i error_i / d_i), summed over sources left to right."""
+        total = 0.0
+        for g, d_i in zip(self.error, d):
+            total += g / d_i
+        return float(np.sqrt(max(total, 0.0)))
 
 
 def align_objective(alpha: complex, h, x, h_ref, x_ref) -> float:
@@ -135,33 +148,33 @@ def align_source_unit(h, x, h_ref, x_ref) -> complex:
     return complex(np.conj(w) / abs(w))
 
 
-def align_state(state, truth) -> Alignment:
-    """Per-source alignment of an iterate against the ground truth."""
-    s = state.h.shape[0]
-    alpha = np.empty(s, dtype=complex)
-    for i in range(s):
-        alpha[i] = align_source(state.h[i], state.x[i], truth.h[i], truth.x[i])
-    return Alignment(alpha=alpha)
-
-
 def aligned_error(h, x, h_ref, x_ref) -> tuple[complex, float]:
     """(alpha, g(alpha)) at the unconstrained optimum."""
     alpha = align_source(h, x, h_ref, x_ref)
     return alpha, align_objective(alpha, h, x, h_ref, x_ref)
 
 
-def dist(state, truth) -> float:
-    """sqrt(sum_i min_alpha(...)/d_i) with d_i = ||h_i||^2 + ||x_i||^2."""
-    s = state.h.shape[0]
+def align_state(state, truth) -> Alignment:
+    """Align every source of an iterate onto the reference pairs, once each.
+
+    truth is anything with (s, K) arrays h and x: the ground truth or another
+    iterate. One align_source call per source gives both alpha_i and g_i.
+    """
     if truth.h.shape != state.h.shape:
         raise ValueError(
             f"state and truth shapes differ: {state.h.shape} vs {truth.h.shape}"
         )
-    total = 0.0
+    s = state.h.shape[0]
+    alpha = np.empty(s, dtype=complex)
+    error = np.empty(s)
     for i in range(s):
-        _, g = aligned_error(state.h[i], state.x[i], truth.h[i], truth.x[i])
-        total += g / truth.d[i]
-    return float(np.sqrt(max(total, 0.0)))
+        alpha[i], error[i] = aligned_error(state.h[i], state.x[i], truth.h[i], truth.x[i])
+    return Alignment(alpha=alpha, error=error)
+
+
+def dist(state, truth) -> float:
+    """sqrt(sum_i min_alpha g_i(alpha) / d_i) with d_i = ||h'_i||^2 + ||x'_i||^2."""
+    return align_state(state, truth).dist(truth.d)
 
 
 def relative_error(state, truth) -> float:
@@ -204,7 +217,8 @@ def incoherence_measures(state, truth, inst, alignments: Alignment):
         raise ValueError("incoherence_measures requires precomputed alignments")
     alpha = alignments.alpha
     diff = alpha[:, None] * state.x - truth.x  # (s, K)
-    vals = np.abs(np.matmul(np.conj(inst.A), diff[:, :, None])[:, :, 0])  # (s, m)
+    # |a_ij^* d_i| = |(A_i conj(d_i))_j|, so A is never copied to conjugate it
+    vals = np.abs(np.matmul(inst.A, np.conj(diff)[:, :, None])[:, :, 0])  # (s, m)
     xn = np.linalg.norm(truth.x, axis=1)
     inc_a = float(np.max(vals / xn[:, None]))
 

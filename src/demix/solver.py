@@ -65,6 +65,8 @@ class TrajectoryRecord:
     """Metrics at one recorded iteration.
 
     Truth-dependent fields are None when the instance has no ground truth.
+    alignment holds alpha_i and the aligned squared errors of this iterate,
+    from which dist and the incoherence measures are derived.
     alignment_ratios[i] = |alpha_i(t) / alpha_i(t-1) - 1| between this
     iteration and its predecessor; zeros at iteration 0.
     """
@@ -76,6 +78,7 @@ class TrajectoryRecord:
     incoherence_a: float | None = None
     incoherence_b: float | None = None
     alignment_ratios: np.ndarray | None = field(default=None, repr=False)
+    alignment: metrics.Alignment | None = field(default=None, repr=False)
 
     @property
     def max_alignment_ratio(self) -> float | None:
@@ -172,25 +175,26 @@ def wf_step(state: DemixState, inst: ProblemInstance, eta: float) -> DemixState:
     return step_arrays(state, Gh, Gx, eta)
 
 
-def _record(t, loss_t, state, prev_state, inst) -> TrajectoryRecord:
+def _record(t, loss_t, state, prev_alpha, inst) -> TrajectoryRecord:
+    """Metrics of one iterate; prev_alpha is the predecessor's alpha (None at t = 0)."""
     truth = inst.truth
     if truth is None:
         return TrajectoryRecord(iter=t, loss=loss_t)
     align = metrics.align_state(state, truth)
-    if prev_state is None:
+    if prev_alpha is None:
         ratios = np.zeros(state.h.shape[0])
     else:
-        prev = metrics.align_state(prev_state, truth)
-        ratios = np.abs(align.alpha / prev.alpha - 1.0)
+        ratios = np.abs(align.alpha / prev_alpha - 1.0)
     inc_a, inc_b = metrics.incoherence_measures(state, truth, inst, align)
     return TrajectoryRecord(
         iter=t,
         loss=loss_t,
         relative_error=metrics.relative_error(state, truth),
-        dist=metrics.dist(state, truth),
+        dist=align.dist(truth.d),
         incoherence_a=inc_a,
         incoherence_b=inc_b,
         alignment_ratios=ratios,
+        alignment=align,
     )
 
 
@@ -222,7 +226,15 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
         if on_iterate is not None:
             on_iterate(t, state)
         if t % cfg.record_every == 0 or not stepping:
-            rec = _record(t, loss_t, state, prev_state, inst)
+            # alpha of iterate t - 1 comes from its record; it is aligned
+            # afresh only when t - 1 went unrecorded (record_every > 1)
+            if t == 0 or truth is None:
+                prev_alpha = None
+            elif records[-1].iter == t - 1:
+                prev_alpha = records[-1].alignment.alpha
+            else:
+                prev_alpha = metrics.align_state(prev_state, truth).alpha
+            rec = _record(t, loss_t, state, prev_alpha, inst)
             records.append(rec)
             if (
                 truth is not None

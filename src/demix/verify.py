@@ -377,7 +377,7 @@ def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) 
         align = metrics.align_state(main, truth)
         ref_h = main.h / np.conj(align.alpha)[:, None]
         ref_x = align.alpha[:, None] * main.x
-        dist_truth[t] = metrics.dist(main, truth)
+        dist_truth[t] = align.dist(truth.d)
         for k, st in enumerate(loo_states):
             per_l[t, k] = _pair_distance(st, ref_h, ref_x, truth.d)
         if t == T:
@@ -406,27 +406,17 @@ def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) 
 def alignment_trace(inst: ProblemInstance, cfg: SolverConfig):
     """Per-iteration per-source alignment scalars and distances to truth.
 
-    Runs the solver capturing alpha_i^t and dist(z_i^t, z'_i) at every
-    iteration; returns (alphas, source_dists) with shape (T+1, s) each.
+    Runs the solver recording every iteration and reads alpha_i^t and
+    dist(z_i^t, z'_i) off each record's alignment; returns (alphas,
+    source_dists) with shape (T+1, s) each.
     """
     truth = inst.truth
     if truth is None:
         raise ValueError("alignment_trace requires ground truth")
-    alphas = []
-    sdists = []
-
-    def capture(t, state):
-        row_a = np.empty(state.h.shape[0], dtype=complex)
-        row_d = np.empty(state.h.shape[0])
-        for i in range(state.h.shape[0]):
-            a, g = metrics.aligned_error(state.h[i], state.x[i], truth.h[i], truth.x[i])
-            row_a[i] = a
-            row_d[i] = math.sqrt(max(g / truth.d[i], 0.0))
-        alphas.append(row_a)
-        sdists.append(row_d)
-
-    run(inst, cfg, on_iterate=capture)
-    return np.array(alphas), np.array(sdists)
+    _, records = run(inst, dataclasses.replace(cfg, record_every=1))
+    alphas = np.array([rec.alignment.alpha for rec in records])
+    errors = np.array([rec.alignment.error for rec in records])
+    return alphas, np.sqrt(np.maximum(errors / truth.d, 0.0))
 
 
 def alignment_ratio_series(alphas: np.ndarray, source_dists: np.ndarray | None = None) -> dict:

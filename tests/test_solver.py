@@ -225,6 +225,28 @@ def test_run_on_iterate_sees_every_iterate(small_instance):
     assert np.array_equal(seen[-1][1], st.h)
 
 
+@pytest.mark.parametrize(
+    "record_every, max_iters, per_source",
+    [
+        (1, 6, 7),  # records 0..6: each aligned once
+        (3, 7, 6),  # records 0, 3, 6, 7: 3 and 6 also align their unrecorded predecessor
+    ],
+)
+def test_run_aligns_each_source_once_per_record(
+    small_instance, monkeypatch, record_every, max_iters, per_source
+):
+    calls = []
+    align_source = demix.metrics.align_source
+
+    def counted(*args):
+        calls.append(args)
+        return align_source(*args)
+
+    monkeypatch.setattr(demix.metrics, "align_source", counted)
+    run(small_instance, SolverConfig(eta=0.2, max_iters=max_iters, record_every=record_every))
+    assert len(calls) == per_source * small_instance.dims.s
+
+
 def test_run_divergence_carries_partial_records():
     inst = make_instance(Dimensions(s=2, m=64, K=8), kappa=1.0, sigma=0.0, seed=4)
     with pytest.raises(DivergenceError) as info:
