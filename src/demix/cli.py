@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +39,19 @@ VERIFY_EXPERIMENTS = ("verify_rsc", "verify_loo", "verify_spectral")
 CSV_HEADER = "iter,loss,relative_error,dist,inc_a,inc_b,max_alignment_ratio,errors"
 SUMMARY_HEADER = "K,s,m,eta,kappa,sigma,seed,snr_db,final_relative_error,iters"
 
+# verification extras: key -> (type, lower bound, bound excluded); m_sweep
+# and l_set are lists
+_EXTRAS = {
+    "n_points": (int, 1, False),
+    "n_dirs": (int, 1, False),
+    "delta": (float, 0.0, True),
+    "n_trials": (int, 1, False),
+    "m_sweep": (int, 1, False),
+    "l_set": (int, 0, False),
+    "n_holdout": (int, 1, False),
+    "loo_factor": (float, 0.0, True),
+}
+_LIST_EXTRAS = ("m_sweep", "l_set")
 _ALLOWED_KEYS = {
     "schema_version",
     "experiment",
@@ -50,14 +64,7 @@ _ALLOWED_KEYS = {
     "output_dir",
     "stop_tol",
     "record_every",
-    "n_points",
-    "n_dirs",
-    "delta",
-    "n_trials",
-    "m_sweep",
-    "l_set",
-    "n_holdout",
-    "loo_factor",
+    *_EXTRAS,
 }
 
 
@@ -84,18 +91,41 @@ def _as_list(v):
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
+def _number(key, v, kind=float, low=-math.inf, excluded=False):
+    """v as kind, at least low (above it when excluded), or a UsageError.
+
+    Booleans, strings, non-finite values and, for int, fractional values are
+    rejected rather than coerced.
+    """
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or (isinstance(v, float) and not math.isfinite(v))
+        or (kind is int and isinstance(v, float) and not v.is_integer())
+    ):
+        what = "an integer" if kind is int else "a finite number"
+        raise UsageError(f"{key} must be {what}, got {v!r}")
+    if v < low or (excluded and v == low):
+        raise UsageError(f"{key} must be {'>' if excluded else '>='} {low:g}, got {v!r}")
+    return kind(v)
+
+
 def _parse_dims(raw) -> list[Dimensions]:
     dims = []
     for entry in _as_list(raw):
         if not isinstance(entry, dict) or not {"s", "m", "K"} <= set(entry):
             raise UsageError(f"dims entries need keys s, m, K; got {entry!r}")
-        dims.append(Dimensions(s=int(entry["s"]), m=int(entry["m"]), K=int(entry["K"])))
+        s, m, K = (_number(f"dims {k}", entry[k], int) for k in ("s", "m", "K"))
+        dims.append(Dimensions(s=s, m=m, K=K))
     if not dims:
         raise UsageError("dims list is empty")
     return dims
 
 
 def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
+    """Read a config and check every field, so a bad value is a UsageError
+    (exit code 2) before any job starts.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -119,45 +149,40 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         dims = _parse_dims(raw["dims"])
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
-    kappa = [float(v) for v in _as_list(raw.get("kappa", 1.0))]
-    sigma = [float(v) for v in _as_list(raw.get("sigma", 0.0))]
+    kappa = [_number("kappa", v, low=1.0) for v in _as_list(raw.get("kappa", 1.0))]
+    sigma = [_number("sigma", v, low=0.0) for v in _as_list(raw.get("sigma", 0.0))]
     if not kappa or not sigma:
         raise UsageError("kappa and sigma sweep lists must be nonempty")
-    seeds = [int(v) for v in _as_list(raw.get("seeds", [0]))]
+    seeds = [_number("seeds", v, int) for v in _as_list(raw.get("seeds", [0]))]
     if seed_override is not None:
         seeds = [int(seed_override)]
     if not seeds:
         raise UsageError("seeds must be nonempty")
-    extras = {
-        k: raw[k]
-        for k in (
-            "n_points",
-            "n_dirs",
-            "delta",
-            "n_trials",
-            "m_sweep",
-            "l_set",
-            "n_holdout",
-            "loo_factor",
-        )
-        if k in raw
-    }
-    cfg = ExperimentConfig(
+    extras = {}
+    for key, spec in _EXTRAS.items():
+        if key in _LIST_EXTRAS and key in raw:
+            extras[key] = [_number(key, v, *spec) for v in _as_list(raw[key])]
+            if not extras[key]:
+                raise UsageError(f"{key} must be nonempty")
+        elif key in raw:
+            extras[key] = _number(key, raw[key], *spec)
+    if any(m < dims[0].K for m in extras.get("m_sweep", ())):
+        raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
+    if any(l >= dims[0].m for l in extras.get("l_set", ())):
+        raise UsageError(f"l_set entries must be < m = {dims[0].m}")
+    return ExperimentConfig(
         experiment=experiment,
         dims=dims,
-        eta=float(raw.get("eta", 0.1)),
+        eta=_number("eta", raw.get("eta", 0.1), low=0.0, excluded=True),
         kappa=kappa,
         sigma=sigma,
-        max_iters=int(raw.get("max_iters", 500)),
+        max_iters=_number("max_iters", raw.get("max_iters", 500), int, low=1),
         seeds=seeds,
         output_dir=str(out_override if out_override is not None else raw.get("output_dir", "out")),
-        stop_tol=float(raw.get("stop_tol", 0.0)),
-        record_every=int(raw.get("record_every", 1)),
+        stop_tol=_number("stop_tol", raw.get("stop_tol", 0.0), low=0.0),
+        record_every=_number("record_every", raw.get("record_every", 1), int, low=1),
         extras=extras,
     )
-    if cfg.eta <= 0 or cfg.max_iters < 1 or cfg.record_every < 1:
-        raise UsageError("eta must be > 0, max_iters >= 1, record_every >= 1")
-    return cfg
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -325,9 +350,9 @@ def _verify_job(cfg: ExperimentConfig, seed: int, outdir: Path):
             inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
             rep = verify.check_rsc(
                 inst,
-                n_points=int(ex.get("n_points", 50)),
-                n_dirs=int(ex.get("n_dirs", 20)),
-                delta=float(ex.get("delta", 0.1)),
+                n_points=ex.get("n_points", 50),
+                n_dirs=ex.get("n_dirs", 20),
+                delta=ex.get("delta", 0.1),
                 rng_seed=seed,
             )
             params = {
@@ -349,13 +374,13 @@ def _verify_job(cfg: ExperimentConfig, seed: int, outdir: Path):
             inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
             scfg = SolverConfig(eta=cfg.eta, max_iters=cfg.max_iters)
             if "l_set" in ex:
-                l_set = [int(v) for v in ex["l_set"]]
+                l_set = ex["l_set"]
             else:
                 gen = _rng.stream(seed, _rng.TAG_AUX)
-                count = min(int(ex.get("n_holdout", 8)), dims.m)
+                count = min(ex.get("n_holdout", 8), dims.m)
                 l_set = sorted(int(v) for v in gen.choice(dims.m, size=count, replace=False))
             res = verify.leave_one_out_trajectories(inst, scfg, l_set)
-            factor = float(ex.get("loo_factor", 0.1))
+            factor = ex.get("loo_factor", 0.1)
             passed = bool(
                 res["dist_initial"] > 0
                 and float(np.max(res["series"])) < factor * res["dist_initial"]
@@ -378,12 +403,12 @@ def _verify_job(cfg: ExperimentConfig, seed: int, outdir: Path):
             report = verify.make_report("loo", params, seed, metrics_out, passed, res["notes"])
         else:  # verify_spectral
             if "m_sweep" in ex:
-                m_sweep = [int(v) for v in ex["m_sweep"]]
+                m_sweep = ex["m_sweep"]
             elif len(cfg.dims) > 1:
                 m_sweep = [d.m for d in cfg.dims]
             else:
                 m_sweep = [400, 1600, 6400]
-            n_trials = int(ex.get("n_trials", 200))
+            n_trials = ex.get("n_trials", 200)
             table = []
             for m in m_sweep:
                 rep = verify.spectral_concentration(

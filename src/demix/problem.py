@@ -22,6 +22,7 @@ _VERSION = 1
 _FLAG_TRUTH = 1
 _FLAG_NOISE = 2
 _MASK64 = (1 << 64) - 1
+_HEADER_BYTES = 60  # magic, the packed fields of save_instance, convention tag
 
 
 class DimensionError(ValueError):
@@ -67,6 +68,20 @@ class GroundTruth:
     d0: float
     kappa: float
     mu: float | None = None
+
+    @classmethod
+    def from_pairs(cls, h: np.ndarray, x: np.ndarray) -> "GroundTruth":
+        """The truth with rows h_i, x_i and its derived d, d0 and kappa."""
+        hn2 = np.sum(np.abs(h) ** 2, axis=1)
+        xn2 = np.sum(np.abs(x) ** 2, axis=1)
+        xn = np.sqrt(xn2)
+        return cls(
+            h=h,
+            x=x,
+            d=hn2 + xn2,
+            d0=float(np.sqrt(np.sum(hn2 * xn2))),
+            kappa=float(xn.max() / xn.min()),
+        )
 
     @property
     def sources(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -150,12 +165,7 @@ def sample_ground_truth(dims: Dimensions, kappa: float, rng_seed: int) -> Ground
     for i in range(s):
         h[i] = norms[i] * raw[2 * i] / np.linalg.norm(raw[2 * i])
         x[i] = norms[i] * raw[2 * i + 1] / np.linalg.norm(raw[2 * i + 1])
-    hn2 = np.sum(np.abs(h) ** 2, axis=1)
-    xn2 = np.sum(np.abs(x) ** 2, axis=1)
-    d = hn2 + xn2
-    d0 = float(np.sqrt(np.sum(hn2 * xn2)))
-    xn = np.sqrt(xn2)
-    return GroundTruth(h=h, x=x, d=d, d0=d0, kappa=float(xn.max() / xn.min()))
+    return GroundTruth.from_pairs(h, x)
 
 
 def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -245,8 +255,8 @@ def _write_array(fh, arr: np.ndarray) -> None:
 
 
 def _read_array(buf: memoryview, offset: int, shape) -> tuple[np.ndarray, int]:
-    count = int(np.prod(shape))
-    nbytes = count * 16
+    # astype copies, so the array does not keep the file's buffer alive
+    nbytes = int(np.prod(shape)) * 16
     arr = np.frombuffer(buf[offset : offset + nbytes], dtype="<c16").astype(
         np.complex128
     ).reshape(shape)
@@ -294,43 +304,46 @@ def save_instance(inst: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
+    """Read a container written by save_instance; its size must match its header."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MAGIC:
         raise ValueError(f"not an instance file: {path}")
+    if len(blob) < _HEADER_BYTES:
+        raise ValueError(
+            f"instance file {path} is truncated: {len(blob)} bytes, "
+            f"shorter than the {_HEADER_BYTES}-byte header"
+        )
     version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", blob, 8)
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
     conv = blob[44:60].rstrip(b"\0").decode()
     if conv != CONVENTION:
         raise ValueError(f"unknown convention tag {conv!r}")
+    count = m * K + s * m * K + m
+    count += m if flags & _FLAG_NOISE else 0
+    count += 2 * s * K if flags & _FLAG_TRUTH else 0
+    want = _HEADER_BYTES + 16 * count
+    if len(blob) != want:
+        what = "truncated" if len(blob) < want else "followed by trailing bytes"
+        raise ValueError(
+            f"instance file {path} is {what}: {len(blob)} bytes, "
+            f"the header (s={s}, m={m}, K={K}, flags={flags}) implies {want}"
+        )
     buf = memoryview(blob)
-    off = 60
+    off = _HEADER_BYTES
     B, off = _read_array(buf, off, (m, K))
     A, off = _read_array(buf, off, (s, m, K))
     y, off = _read_array(buf, off, (m,))
-    y = y.copy()
     if flags & _FLAG_NOISE:
         e, off = _read_array(buf, off, (m,))
-        e = e.copy()
     else:
         e = np.zeros(0, dtype=complex)
     truth = None
     if flags & _FLAG_TRUTH:
         h, off = _read_array(buf, off, (s, K))
         x, off = _read_array(buf, off, (s, K))
-        hn2 = np.sum(np.abs(h) ** 2, axis=1)
-        xn2 = np.sum(np.abs(x) ** 2, axis=1)
-        xn = np.sqrt(xn2)
-        truth = GroundTruth(
-            h=h.copy(),
-            x=x.copy(),
-            d=hn2 + xn2,
-            d0=float(np.sqrt(np.sum(hn2 * xn2))),
-            kappa=float(xn.max() / xn.min()),
-        )
+        truth = GroundTruth.from_pairs(h, x)
         truth.mu = metrics.incoherence_mu(truth, B)
     dims = Dimensions(s=s, m=m, K=K)
-    return ProblemInstance(
-        dims=dims, A=A.copy(), B=B.copy(), y=y, e=e, sigma=sigma, seed=seed, truth=truth
-    )
+    return ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=sigma, seed=seed, truth=truth)

@@ -176,6 +176,17 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("stop_tol", -1), ("kappa", 0.5), ("sigma", -1), ("eta", "abc"), ("max_iters", 1.5)],
+)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
+
+
 def test_run_rejects_dimension_lists(tmp_path):
     cfg = write_config(tmp_path, dims=[{"s": 1, "m": 64, "K": 4}, {"s": 1, "m": 128, "K": 4}])
     assert main(["run", "--config", str(cfg)]) == 2

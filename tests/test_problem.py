@@ -249,6 +249,24 @@ def test_load_rejects_garbage(tmp_path):
         load_instance(path)
 
 
+def test_load_rejects_truncated_file(tmp_path, noisy_instance):
+    path = tmp_path / "inst.bin"
+    save_instance(noisy_instance, path)
+    blob = path.read_bytes()
+    for cut in (blob[:-16], blob[:40]):  # payload short, then header short
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match="truncated"):
+            load_instance(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path, noisy_instance):
+    path = tmp_path / "inst.bin"
+    save_instance(noisy_instance, path)
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_instance(path)
+
+
 def test_metadata_schema(tmp_path, noisy_instance):
     meta = instance_metadata(noisy_instance)
     assert set(meta) == {"s", "m", "K", "sigma", "seed", "kappa", "mu", "d0", "convention"}
