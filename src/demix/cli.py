@@ -39,9 +39,16 @@ VERIFY_EXPERIMENTS = ("verify_rsc", "verify_loo", "verify_spectral")
 CSV_HEADER = "iter,loss,relative_error,dist,inc_a,inc_b,max_alignment_ratio,errors"
 SUMMARY_HEADER = "K,s,m,eta,kappa,sigma,seed,snr_db,final_relative_error,iters"
 
-# verification extras: key -> (type, lower bound, bound excluded); m_sweep
-# and l_set are lists
-_EXTRAS = {
+# Numeric config keys: key -> (type, lower bound, bound excluded). Absent keys
+# take the ExperimentConfig defaults; _EXTRAS go to the verification checks.
+_NUMBERS = {
+    "eta": (float, 0.0, True),
+    "kappa": (float, 1.0, False),
+    "sigma": (float, 0.0, False),
+    "max_iters": (int, 1, False),
+    "seeds": (int, -math.inf, False),
+    "stop_tol": (float, 0.0, False),
+    "record_every": (int, 1, False),
     "n_points": (int, 1, False),
     "n_dirs": (int, 1, False),
     "delta": (float, 0.0, True),
@@ -51,21 +58,9 @@ _EXTRAS = {
     "n_holdout": (int, 1, False),
     "loo_factor": (float, 0.0, True),
 }
-_LIST_EXTRAS = ("m_sweep", "l_set")
-_ALLOWED_KEYS = {
-    "schema_version",
-    "experiment",
-    "dims",
-    "eta",
-    "kappa",
-    "sigma",
-    "max_iters",
-    "seeds",
-    "output_dir",
-    "stop_tol",
-    "record_every",
-    *_EXTRAS,
-}
+_LISTS = ("kappa", "sigma", "seeds", "m_sweep", "l_set")
+_EXTRAS = ("n_points", "n_dirs", "delta", "n_trials", "m_sweep", "l_set", "n_holdout", "loo_factor")
+_ALLOWED_KEYS = {"schema_version", "experiment", "dims", "output_dir", *_NUMBERS}
 
 
 class UsageError(ValueError):
@@ -92,11 +87,7 @@ def _as_list(v):
 
 
 def _number(key, v, kind=float, low=-math.inf, excluded=False):
-    """v as kind, at least low (above it when excluded), or a UsageError.
-
-    Booleans, strings, non-finite values and, for int, fractional values are
-    rejected rather than coerced.
-    """
+    """v as kind within its bound; other types, and fractional ints, are rejected."""
     if (
         isinstance(v, bool)
         or not isinstance(v, (int, float))
@@ -149,39 +140,29 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         dims = _parse_dims(raw["dims"])
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
-    kappa = [_number("kappa", v, low=1.0) for v in _as_list(raw.get("kappa", 1.0))]
-    sigma = [_number("sigma", v, low=0.0) for v in _as_list(raw.get("sigma", 0.0))]
-    if not kappa or not sigma:
-        raise UsageError("kappa and sigma sweep lists must be nonempty")
-    seeds = [_number("seeds", v, int) for v in _as_list(raw.get("seeds", [0]))]
-    if seed_override is not None:
-        seeds = [int(seed_override)]
-    if not seeds:
-        raise UsageError("seeds must be nonempty")
-    extras = {}
-    for key, spec in _EXTRAS.items():
-        if key in _LIST_EXTRAS and key in raw:
-            extras[key] = [_number(key, v, *spec) for v in _as_list(raw[key])]
-            if not extras[key]:
+    values = {}
+    for key, spec in _NUMBERS.items():
+        if key not in raw:
+            continue
+        if key in _LISTS:
+            values[key] = [_number(key, v, *spec) for v in _as_list(raw[key])]
+            if not values[key]:
                 raise UsageError(f"{key} must be nonempty")
-        elif key in raw:
-            extras[key] = _number(key, raw[key], *spec)
-    if any(m < dims[0].K for m in extras.get("m_sweep", ())):
+        else:
+            values[key] = _number(key, raw[key], *spec)
+    if seed_override is not None:
+        values["seeds"] = [int(seed_override)]
+    if any(m < dims[0].K for m in values.get("m_sweep", ())):
         raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
-    if any(l >= dims[0].m for l in extras.get("l_set", ())):
+    if any(l >= dims[0].m for l in values.get("l_set", ())):
         raise UsageError(f"l_set entries must be < m = {dims[0].m}")
+    extras = {key: values.pop(key) for key in _EXTRAS if key in values}
     return ExperimentConfig(
         experiment=experiment,
         dims=dims,
-        eta=_number("eta", raw.get("eta", 0.1), low=0.0, excluded=True),
-        kappa=kappa,
-        sigma=sigma,
-        max_iters=_number("max_iters", raw.get("max_iters", 500), int, low=1),
-        seeds=seeds,
         output_dir=str(out_override if out_override is not None else raw.get("output_dir", "out")),
-        stop_tol=_number("stop_tol", raw.get("stop_tol", 0.0), low=0.0),
-        record_every=_number("record_every", raw.get("record_every", 1), int, low=1),
         extras=extras,
+        **values,
     )
 
 

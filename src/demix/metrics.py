@@ -45,8 +45,7 @@ def _phi_terms(h, x, h_ref, x_ref):
     nx = float(np.real(np.vdot(x, x)))
     p = complex(np.vdot(h_ref, h))  # h_ref^* h
     q = complex(np.vdot(x_ref, x))  # x_ref^* x
-    c = float(np.real(np.vdot(h_ref, h_ref)) + np.real(np.vdot(x_ref, x_ref)))
-    return nh, nx, p, q, c
+    return nh, nx, p, q
 
 
 def _phi(beta, nh, nx, p, q):
@@ -106,7 +105,7 @@ def align_source(h, x, h_ref, x_ref) -> complex:
     """
     if np.linalg.norm(h) == 0 or np.linalg.norm(x) == 0:
         raise ValueError("align_source requires nonzero h and x")
-    nh, nx, p, q, _ = _phi_terms(h, x, h_ref, x_ref)
+    nh, nx, p, q = _phi_terms(h, x, h_ref, x_ref)
 
     if p == 0 and q == 0:
         # pure scale balancing, closed form
@@ -141,7 +140,7 @@ def align_source_unit(h, x, h_ref, x_ref) -> complex:
     """
     if np.linalg.norm(h) == 0 or np.linalg.norm(x) == 0:
         raise ValueError("align_source_unit requires nonzero h and x")
-    _, _, p, q, _ = _phi_terms(h, x, h_ref, x_ref)
+    _, _, p, q = _phi_terms(h, x, h_ref, x_ref)
     w = p + q
     if abs(w) == 0:
         return complex(1.0)
@@ -155,10 +154,8 @@ def aligned_error(h, x, h_ref, x_ref) -> tuple[complex, float]:
 
 
 def align_state(state, truth) -> Alignment:
-    """Align every source of an iterate onto the reference pairs, once each.
-
-    truth is anything with (s, K) arrays h and x: the ground truth or another
-    iterate. One align_source call per source gives both alpha_i and g_i.
+    """Align each source of an iterate onto truth's pairs with one align_source
+    call, giving both alpha_i and the aligned squared error g_i(alpha_i).
     """
     if truth.h.shape != state.h.shape:
         raise ValueError(

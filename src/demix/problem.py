@@ -254,15 +254,6 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
 
 
-def _read_array(buf: memoryview, offset: int, shape) -> tuple[np.ndarray, int]:
-    # astype copies, so the array does not keep the file's buffer alive
-    nbytes = int(np.prod(shape)) * 16
-    arr = np.frombuffer(buf[offset : offset + nbytes], dtype="<c16").astype(
-        np.complex128
-    ).reshape(shape)
-    return arr, offset + nbytes
-
-
 def save_instance(inst: ProblemInstance, path) -> None:
     """Self-describing binary container plus a JSON metadata sidecar.
 
@@ -310,40 +301,42 @@ def load_instance(path) -> ProblemInstance:
     if blob[:8] != _MAGIC:
         raise ValueError(f"not an instance file: {path}")
     if len(blob) < _HEADER_BYTES:
-        raise ValueError(
-            f"instance file {path} is truncated: {len(blob)} bytes, "
-            f"shorter than the {_HEADER_BYTES}-byte header"
-        )
+        raise ValueError(f"instance file {path} is truncated inside its header")
     version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", blob, 8)
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
     conv = blob[44:60].rstrip(b"\0").decode()
     if conv != CONVENTION:
         raise ValueError(f"unknown convention tag {conv!r}")
-    count = m * K + s * m * K + m
-    count += m if flags & _FLAG_NOISE else 0
-    count += 2 * s * K if flags & _FLAG_TRUTH else 0
-    want = _HEADER_BYTES + 16 * count
+    shapes = {"B": (m, K), "A": (s, m, K), "y": (m,)}
+    if flags & _FLAG_NOISE:
+        shapes["e"] = (m,)
+    if flags & _FLAG_TRUTH:
+        shapes.update(h=(s, K), x=(s, K))
+    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
+    want = _HEADER_BYTES + 16 * int(ends[-1])
     if len(blob) != want:
         what = "truncated" if len(blob) < want else "followed by trailing bytes"
         raise ValueError(
             f"instance file {path} is {what}: {len(blob)} bytes, "
             f"the header (s={s}, m={m}, K={K}, flags={flags}) implies {want}"
         )
-    buf = memoryview(blob)
-    off = _HEADER_BYTES
-    B, off = _read_array(buf, off, (m, K))
-    A, off = _read_array(buf, off, (s, m, K))
-    y, off = _read_array(buf, off, (m,))
-    if flags & _FLAG_NOISE:
-        e, off = _read_array(buf, off, (m,))
-    else:
-        e = np.zeros(0, dtype=complex)
+    payload = np.frombuffer(blob, dtype="<c16", offset=_HEADER_BYTES).astype(np.complex128)
+    arrays = {
+        name: part.reshape(shape)
+        for (name, shape), part in zip(shapes.items(), np.split(payload, ends[:-1]))
+    }
     truth = None
     if flags & _FLAG_TRUTH:
-        h, off = _read_array(buf, off, (s, K))
-        x, off = _read_array(buf, off, (s, K))
-        truth = GroundTruth.from_pairs(h, x)
-        truth.mu = metrics.incoherence_mu(truth, B)
-    dims = Dimensions(s=s, m=m, K=K)
-    return ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=sigma, seed=seed, truth=truth)
+        truth = GroundTruth.from_pairs(arrays["h"], arrays["x"])
+        truth.mu = metrics.incoherence_mu(truth, arrays["B"])
+    return ProblemInstance(
+        dims=Dimensions(s=s, m=m, K=K),
+        A=arrays["A"],
+        B=arrays["B"],
+        y=arrays["y"],
+        e=arrays.get("e", np.zeros(0, dtype=complex)),
+        sigma=sigma,
+        seed=seed,
+        truth=truth,
+    )
