@@ -1,7 +1,8 @@
 """Spectral initialization and the scaled Wirtinger-flow loop.
 
 Per source, initialization takes the leading singular triple of the
-back-projection M_i = sum_j y_j b_j a_ij^*. The iteration then descends
+back-projection M_i = sum_j y_j b_j a_ij^*, from a dense SVD of the K x K
+matrix, phase-gauged and scaled by sqrt(sigma1). The iteration then descends
 each pair with step sizes eta/||x_i||^2 and eta/||h_i||^2 evaluated at the
 pre-update iterate (simultaneous update).
 """
@@ -35,10 +36,6 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
         self.loss_value = loss_value
         self.records = list(records) if records is not None else []
-
-
-class SpectralInitError(RuntimeError):
-    """Leading-triple iteration failed to converge and no fallback applies."""
 
 
 @dataclass
@@ -88,48 +85,25 @@ class TrajectoryRecord:
 
 
 def backprojection_matrices(A: np.ndarray, B: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """M_i = sum_j y_j b_j a_ij^*, stacked as (s, K, K)."""
-    s = A.shape[0]
-    By = B * y[:, None]
-    return np.stack([By.T @ np.conj(A[i]) for i in range(s)])
+    """M_i = sum_j y_j b_j a_ij^*, stacked as (s, K, K).
 
-
-def leading_triple(M: np.ndarray, max_iters: int = 5000, tol: float = 1e-12):
-    """(sigma1, u, v): leading singular triple of a K x K matrix.
-
-    Power iteration on M^* M from the normalized all-ones vector, stopping
-    on eigenvalue change below tol; dense SVD fallback for K <= 64 if the
-    iteration stalls.
+    One batched product, M_i = conj((By)^* A_i) with By = diag(y) B, so A is
+    never copied to conjugate it.
     """
-    K = M.shape[0]
-    G = M.conj().T @ M
-    v = np.ones(K, dtype=complex) / np.sqrt(K)
-    lam_prev = None
-    converged = False
-    for _ in range(max_iters):
-        w = G @ v
-        lam = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            # M^* M v = 0 from the all-ones start: treat as (numerically) zero
-            return 0.0, np.zeros(K, dtype=complex), v
-        v = w / nw
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            converged = True
-            break
-        lam_prev = lam
-    if not converged:
-        if K > 64:
-            raise SpectralInitError(
-                f"power iteration did not converge in {max_iters} steps for K={K}"
-            )
-        U, S, Vh = np.linalg.svd(M)
-        return float(S[0]), U[:, 0], Vh[0].conj()
-    u_raw = M @ v
-    sigma = float(np.linalg.norm(u_raw))
-    if sigma == 0:
-        return 0.0, np.zeros(K, dtype=complex), v
-    return sigma, u_raw / sigma, v
+    By = B * y[:, None]
+    return np.conj(np.conj(By).T @ A)
+
+
+def leading_triple(M: np.ndarray):
+    """(sigma1, u, v) with M v = sigma1 u: the leading singular triple of M.
+
+    Taken from the dense SVD, so the triple is accurate to a few ulps of
+    sigma1. A zero matrix gives sigma1 = 0 and u = 0.
+    """
+    U, S, Vh = np.linalg.svd(M)
+    if S[0] == 0:
+        return 0.0, np.zeros(M.shape[0], dtype=complex), Vh[0].conj()
+    return float(S[0]), U[:, 0], Vh[0].conj()
 
 
 def init_from_matrices(Ms: np.ndarray) -> DemixState:
@@ -226,8 +200,6 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
         if on_iterate is not None:
             on_iterate(t, state)
         if t % cfg.record_every == 0 or not stepping:
-            # alpha of iterate t - 1 comes from its record; it is aligned
-            # afresh only when t - 1 went unrecorded (record_every > 1)
             if t == 0 or truth is None:
                 prev_alpha = None
             elif records[-1].iter == t - 1:

@@ -46,10 +46,9 @@ def test_leading_triple_matches_dense_svd():
         assert sigma == pytest.approx(want, rel=1e-10)
         assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-10)
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-10)
-        # defining equations of a singular triple; vector accuracy is about
-        # the square root of the sigma tolerance when the gap is small
-        assert np.linalg.norm(M @ v - sigma * u) <= 1e-5 * max(sigma, 1.0)
-        assert np.linalg.norm(M.conj().T @ u - sigma * v) <= 1e-5 * max(sigma, 1.0)
+        # defining equations of a singular triple
+        assert np.linalg.norm(M @ v - sigma * u) <= 1e-12 * max(sigma, 1.0)
+        assert np.linalg.norm(M.conj().T @ u - sigma * v) <= 1e-12 * max(sigma, 1.0)
 
 
 def test_leading_triple_exact_rank_one():
