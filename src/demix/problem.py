@@ -305,6 +305,8 @@ def load_instance(path) -> ProblemInstance:
     version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", blob, 8)
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
+    if flags & ~(_FLAG_TRUTH | _FLAG_NOISE):
+        raise ValueError(f"instance file {path} has unknown flag bits: {flags:#x}")
     conv = blob[44:60].rstrip(b"\0").decode()
     if conv != CONVENTION:
         raise ValueError(f"unknown convention tag {conv!r}")

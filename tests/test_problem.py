@@ -267,6 +267,16 @@ def test_load_rejects_trailing_bytes(tmp_path, noisy_instance):
         load_instance(path)
 
 
+def test_load_rejects_unknown_flag_bits(tmp_path, noisy_instance):
+    path = tmp_path / "inst.bin"
+    save_instance(noisy_instance, path)
+    blob = bytearray(path.read_bytes())
+    blob[12] |= 8  # flags word starts after the magic and the version
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unknown flag bits"):
+        load_instance(path)
+
+
 def test_metadata_schema(tmp_path, noisy_instance):
     meta = instance_metadata(noisy_instance)
     assert set(meta) == {"s", "m", "K", "sigma", "seed", "kappa", "mu", "d0", "convention"}
