@@ -4,12 +4,15 @@ Every command reads a JSON experiment config (schema_version 1) and writes
 its artifacts — binary instances with JSON sidecars, per-run trajectory
 CSVs, sweep summary CSVs, verification report JSONs — into the output
 directory. Identical configs reproduce byte-identical outputs. Exit codes:
-0 success, 1 divergence or verification failure or I/O trouble, 2 usage.
+0 success; 1 when a job diverges, fails or fails its check (the other jobs
+still run), or on I/O trouble; 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -18,29 +21,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import _rng, verify
+from . import verify
 from .problem import Dimensions, make_instance, save_instance, snr_db
-from .solver import DivergenceError, SolverConfig, run
+from .solver import DegenerateIterateError, DivergenceError, SolverConfig, run
 
 SCHEMA_VERSION = 1
-EXPERIMENTS = (
-    "convergence",
-    "condition_number",
-    "noise_sweep",
-    "incoherence",
-    "verify_rsc",
-    "verify_loo",
-    "verify_spectral",
-)
-VERIFY_EXPERIMENTS = ("verify_rsc", "verify_loo", "verify_spectral")
+VERIFY_EXPERIMENTS = tuple(verify.CHECKS)
+EXPERIMENTS = ("convergence", "condition_number", "noise_sweep", "incoherence", *VERIFY_EXPERIMENTS)
 
 CSV_HEADER = "iter,loss,relative_error,dist,inc_a,inc_b,max_alignment_ratio,errors"
 SUMMARY_HEADER = "K,s,m,eta,kappa,sigma,seed,snr_db,final_relative_error,iters"
 
 # Numeric config keys: key -> (type, lower bound, bound excluded). Absent keys
-# take the ExperimentConfig defaults; _EXTRAS go to the verification checks.
+# take the ExperimentConfig defaults; _EXTRAS go to the verification checks,
+# which hold their defaults.
 _NUMBERS = {
     "eta": (float, 0.0, True),
     "kappa": (float, 1.0, False),
@@ -59,7 +53,7 @@ _NUMBERS = {
     "loo_factor": (float, 0.0, True),
 }
 _LISTS = ("kappa", "sigma", "seeds", "m_sweep", "l_set")
-_EXTRAS = ("n_points", "n_dirs", "delta", "n_trials", "m_sweep", "l_set", "n_holdout", "loo_factor")
+_EXTRAS = {key for experiment in VERIFY_EXPERIMENTS for key in verify.check_extras(experiment)}
 _ALLOWED_KEYS = {"schema_version", "experiment", "dims", "output_dir", *_NUMBERS}
 
 
@@ -152,11 +146,16 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
             values[key] = _number(key, raw[key], *spec)
     if seed_override is not None:
         values["seeds"] = [int(seed_override)]
-    if any(m < dims[0].K for m in values.get("m_sweep", ())):
-        raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
-    if any(l >= dims[0].m for l in values.get("l_set", ())):
-        raise UsageError(f"l_set entries must be < m = {dims[0].m}")
     extras = {key: values.pop(key) for key in _EXTRAS if key in values}
+    reads = verify.check_extras(experiment) if experiment in VERIFY_EXPERIMENTS else {}
+    unread = sorted(set(extras) - set(reads))
+    if unread:
+        raise UsageError(f"{experiment} does not read {unread}")
+    extras = {**reads, **extras}
+    if any(m < dims[0].K for m in extras.get("m_sweep", ())):
+        raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
+    if any(l >= dims[0].m for l in extras.get("l_set", ())):
+        raise UsageError(f"l_set entries must be < m = {dims[0].m}")
     return ExperimentConfig(
         experiment=experiment,
         dims=dims,
@@ -183,13 +182,24 @@ def _workers() -> int:
     return (os.cpu_count() or 1) if w == 0 else w
 
 
-def _run_jobs(jobs):
+def _run_jobs(job, settings) -> list:
+    """job(*setting) for each setting, on DEMIX_THREADS threads."""
     w = _workers()
-    if w == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
+    if w == 1 or len(settings) <= 1:
+        return [job(*setting) for setting in settings]
     with ThreadPoolExecutor(max_workers=w) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+        return list(pool.map(lambda setting: job(*setting), settings))
+
+
+def _finish(results) -> int:
+    """Print each job's artifact and error; exit code 1 unless every job passed."""
+    for res in results:
+        if res["status"] is not None:
+            print(f"wrote {res['path']} {res['status']}")
+        if res["error"] is not None:
+            name = res["path"].name
+            print(f"error: seed {res['seed']} ({name}): {res['error']}", file=sys.stderr)
+    return 0 if all(r["ok"] for r in results) else 1
 
 
 def _fmt(v) -> str:
@@ -223,47 +233,51 @@ def write_trajectory_csv(path, records, error_line: str | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _combos(cfg: ExperimentConfig):
-    for dims in cfg.dims:
-        for kappa in cfg.kappa:
-            for sigma in cfg.sigma:
-                for seed in cfg.seeds:
-                    yield dims, kappa, sigma, seed
+def _combos(cfg: ExperimentConfig) -> list:
+    return list(itertools.product(cfg.dims, cfg.kappa, cfg.sigma, cfg.seeds))
 
 
-def _solve_job(cfg: ExperimentConfig, dims, kappa, sigma, seed, outdir: Path):
-    def job():
+def _scalar_setting(cfg: ExperimentConfig, command: str):
+    if len(cfg.dims) > 1 or len(cfg.kappa) > 1 or len(cfg.sigma) > 1:
+        raise UsageError(f"{command} takes scalar dims/kappa/sigma; only sweep takes lists")
+    return cfg.dims[0], cfg.kappa[0], cfg.sigma[0]
+
+
+def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
+    return SolverConfig(
+        eta=cfg.eta, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol, record_every=cfg.record_every
+    )
+
+
+def _solve_all(cfg: ExperimentConfig) -> list:
+    job = functools.partial(_solve_job, _solver_config(cfg), _outdir(cfg))
+    return _run_jobs(job, _combos(cfg))
+
+
+def _solve_job(scfg: SolverConfig, outdir: Path, dims, kappa, sigma, seed) -> dict:
+    """One run written as a trajectory CSV; a failed run writes its partial
+    trajectory and then an error line.
+    """
+    path = outdir / f"trajectory_{_stem(dims, kappa, sigma, seed)}.csv"
+    res = {"ok": False, "path": path, "seed": seed, "dims": dims, "kappa": kappa, "sigma": sigma,
+           "snr_db": None, "final_relative_error": None, "iters": None, "error": None}
+    try:
         inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
-        scfg = SolverConfig(
-            eta=cfg.eta,
-            max_iters=cfg.max_iters,
-            stop_tol=cfg.stop_tol,
-            record_every=cfg.record_every,
-        )
-        path = outdir / f"trajectory_{_stem(dims, kappa, sigma, seed)}.csv"
-        try:
-            _, records = run(inst, scfg)
-            write_trajectory_csv(path, records)
-            ok, final_rel, iters = True, records[-1].relative_error, records[-1].iter
-        except DivergenceError as ex:
-            msg = f"diverged at iteration {ex.iteration}"
-            error_line = f"{ex.iteration},{_fmt(ex.loss_value)},,,,,,{msg}"
-            write_trajectory_csv(path, ex.records, error_line)
-            ok, final_rel, iters = False, None, ex.iteration
-        snr = None if inst.sigma == 0 else snr_db(inst.y, inst.e)
-        return {
-            "ok": ok,
-            "dims": dims,
-            "kappa": kappa,
-            "sigma": sigma,
-            "seed": seed,
-            "snr_db": snr,
-            "final_relative_error": final_rel,
-            "iters": iters,
-            "path": path,
-        }
-
-    return job
+        res["snr_db"] = None if inst.sigma == 0 else snr_db(inst.y, inst.e)
+        _, records = run(inst, scfg)
+    except DivergenceError as ex:
+        msg = f"diverged at iteration {ex.iteration}"
+        write_trajectory_csv(path, ex.records, f"{ex.iteration},{_fmt(ex.loss_value)},,,,,,{msg}")
+        res.update(status="[diverged]", iters=ex.iteration)
+    except (DegenerateIterateError, ValueError) as ex:
+        error_line = ',,,,,,,"' + str(ex).replace('"', '""') + '"'
+        write_trajectory_csv(path, getattr(ex, "records", []), error_line)
+        res.update(status="[failed]", error=str(ex))
+    else:
+        write_trajectory_csv(path, records)
+        res.update(ok=True, status="[ok]", final_relative_error=records[-1].relative_error,
+                   iters=records[-1].iter)
+    return res
 
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
@@ -277,22 +291,12 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    if len(cfg.dims) > 1 or len(cfg.kappa) > 1 or len(cfg.sigma) > 1:
-        raise UsageError("run takes scalar dims/kappa/sigma; use the sweep command")
-    outdir = _outdir(cfg)
-    dims, kappa, sigma = cfg.dims[0], cfg.kappa[0], cfg.sigma[0]
-    jobs = [_solve_job(cfg, dims, kappa, sigma, seed, outdir) for seed in cfg.seeds]
-    results = _run_jobs(jobs)
-    for res in results:
-        status = "ok" if res["ok"] else "diverged"
-        print(f"wrote {res['path']} [{status}]")
-    return 0 if all(r["ok"] for r in results) else 1
+    _scalar_setting(cfg, "run")
+    return _finish(_solve_all(cfg))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    outdir = _outdir(cfg)
-    jobs = [_solve_job(cfg, *combo, outdir) for combo in _combos(cfg)]
-    results = _run_jobs(jobs)
+    results = _solve_all(cfg)
     lines = [SUMMARY_HEADER]
     for res in results:
         dims = res["dims"]
@@ -308,126 +312,36 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                     str(res["seed"]),
                     _fmt(res["snr_db"]),
                     _fmt(res["final_relative_error"]),
-                    str(res["iters"]),
+                    "" if res["iters"] is None else str(res["iters"]),
                 ]
             )
         )
-        status = "ok" if res["ok"] else "diverged"
-        print(f"wrote {res['path']} [{status}]")
-    summary = outdir / f"summary_{cfg.experiment}.csv"
+    code = _finish(results)
+    summary = _outdir(cfg) / f"summary_{cfg.experiment}.csv"
     with open(summary, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {summary}")
-    return 0 if all(r["ok"] for r in results) else 1
-
-
-def _verify_job(cfg: ExperimentConfig, seed: int, outdir: Path):
-    dims = cfg.dims[0]
-    kappa, sigma = cfg.kappa[0], cfg.sigma[0]
-    ex = cfg.extras
-
-    def job():
-        if cfg.experiment == "verify_rsc":
-            inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
-            rep = verify.check_rsc(
-                inst,
-                n_points=ex.get("n_points", 50),
-                n_dirs=ex.get("n_dirs", 20),
-                delta=ex.get("delta", 0.1),
-                rng_seed=seed,
-            )
-            params = {
-                "dims": {"s": dims.s, "m": dims.m, "K": dims.K},
-                "kappa": kappa,
-                "sigma": sigma,
-                "delta": rep.delta,
-            }
-            metrics_out = {
-                "samples_tested": rep.samples_tested,
-                "min_quadratic_ratio": rep.min_quadratic_ratio,
-                "smoothness_max": rep.smoothness_max,
-                "kappa": rep.kappa,
-                "s": rep.s,
-                "sampling_failures": rep.sampling_failures,
-            }
-            report = verify.make_report("rsc", params, seed, metrics_out, rep.passed, rep.notes)
-        elif cfg.experiment == "verify_loo":
-            inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
-            scfg = SolverConfig(eta=cfg.eta, max_iters=cfg.max_iters)
-            if "l_set" in ex:
-                l_set = ex["l_set"]
-            else:
-                gen = _rng.stream(seed, _rng.TAG_AUX)
-                count = min(ex.get("n_holdout", 8), dims.m)
-                l_set = sorted(int(v) for v in gen.choice(dims.m, size=count, replace=False))
-            res = verify.leave_one_out_trajectories(inst, scfg, l_set)
-            factor = ex.get("loo_factor", 0.1)
-            passed = bool(
-                res["dist_initial"] > 0
-                and float(np.max(res["series"])) < factor * res["dist_initial"]
-            )
-            params = {
-                "dims": {"s": dims.s, "m": dims.m, "K": dims.K},
-                "kappa": kappa,
-                "sigma": sigma,
-                "eta": cfg.eta,
-                "max_iters": cfg.max_iters,
-                "l_set": l_set,
-                "loo_factor": factor,
-            }
-            metrics_out = {
-                "series": res["series"],
-                "dist_initial": res["dist_initial"],
-                "max_proximity": float(np.max(res["series"])),
-                "degenerate": res["degenerate"],
-            }
-            report = verify.make_report("loo", params, seed, metrics_out, passed, res["notes"])
-        else:  # verify_spectral
-            if "m_sweep" in ex:
-                m_sweep = ex["m_sweep"]
-            elif len(cfg.dims) > 1:
-                m_sweep = [d.m for d in cfg.dims]
-            else:
-                m_sweep = [400, 1600, 6400]
-            n_trials = ex.get("n_trials", 200)
-            table = []
-            for m in m_sweep:
-                rep = verify.spectral_concentration(
-                    Dimensions(s=dims.s, m=m, K=dims.K), sigma, n_trials, seed
-                )
-                table.append(
-                    {
-                        "m": m,
-                        "mean_deviation": rep["mean_deviation"],
-                        "max_deviation": rep["max_deviation"],
-                    }
-                )
-            means = [row["mean_deviation"] for row in table]
-            passed = all(b < a for a, b in zip(means, means[1:]))
-            params = {
-                "dims": {"s": dims.s, "K": dims.K},
-                "m_sweep": m_sweep,
-                "sigma": sigma,
-                "n_trials": n_trials,
-            }
-            report = verify.make_report("spectral", params, seed, {"table": table}, passed)
-        path = outdir / f"report_{cfg.experiment}_seed{seed}.json"
-        verify.write_report(report, path)
-        return {"ok": report["pass"], "path": path, "seed": seed}
-
-    return job
+    return code
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     if cfg.experiment not in VERIFY_EXPERIMENTS:
-        raise UsageError(
-            f"verify needs one of {VERIFY_EXPERIMENTS}, got {cfg.experiment!r}"
-        )
+        raise UsageError(f"verify needs one of {VERIFY_EXPERIMENTS}, got {cfg.experiment!r}")
+    setting = _scalar_setting(cfg, "verify")
+    scfg = _solver_config(cfg)
     outdir = _outdir(cfg)
-    results = _run_jobs([_verify_job(cfg, seed, outdir) for seed in cfg.seeds])
-    for res in results:
-        print(f"wrote {res['path']} pass={res['ok']}")
-    return 0 if all(r["ok"] for r in results) else 1
+
+    def job(seed):
+        path = outdir / f"report_{cfg.experiment}_seed{seed}.json"
+        try:
+            report = verify.run_check(cfg.experiment, *setting, scfg, seed, **cfg.extras)
+        except (DegenerateIterateError, ValueError) as ex:
+            return {"ok": False, "path": path, "seed": seed, "status": None, "error": str(ex)}
+        verify.write_report(report, path)
+        ok = report["pass"]
+        return {"ok": ok, "path": path, "seed": seed, "status": f"pass={ok}", "error": None}
+
+    return _finish(_run_jobs(job, [(seed,) for seed in cfg.seeds]))
 
 
 _DISPATCH = {

@@ -21,7 +21,10 @@ _DIVERGENCE_FACTOR = 1e6
 
 
 class DegenerateIterateError(RuntimeError):
-    """A source collapsed to zero norm, so the scaled step is undefined."""
+    """A source collapsed to zero norm, so the scaled step is undefined.
+
+    Raised from run, it carries the records gathered so far in `records`.
+    """
 
 
 class DivergenceError(RuntimeError):
@@ -181,7 +184,8 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
     callback sees (t, state) at every iteration.
 
     Returns (final_state, records). Raises DivergenceError if the loss goes
-    non-finite or exceeds 1e6 times the initial loss.
+    non-finite or exceeds 1e6 times the initial loss, and
+    DegenerateIterateError if a source reaches zero norm.
     """
     state = spectral_init(inst)
     truth = inst.truth
@@ -218,6 +222,10 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
         if not stepping:
             break
         prev_state = state
-        state = step_arrays(state, Gh, Gx, cfg.eta)
+        try:
+            state = step_arrays(state, Gh, Gx, cfg.eta)
+        except DegenerateIterateError as ex:
+            ex.records = records
+            raise
         t += 1
     return state, records

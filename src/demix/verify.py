@@ -4,6 +4,7 @@ Covers: the closed-form population Hessian at the truth, sampled restricted
 strong convexity/smoothness of the clean Hessian near the truth, spectral
 concentration of the back-projection matrices, leave-one-out trajectory
 proximity, and contraction of the per-source alignment parameters.
+CHECKS is the table of verify_* experiments that `demix verify` runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import _rng, metrics
 from .objective import DemixState, SizeCapError, hessian_blocks, assemble_source_hessian
 from .objective import _gradient_full, leave_one_out_arrays
-from .problem import Dimensions, ProblemInstance, make_dft_rows, sample_design
+from .problem import Dimensions, ProblemInstance, make_dft_rows, make_instance, sample_design
 from .problem import sample_ground_truth, synthesize_measurements
 from .solver import SolverConfig, backprojection_matrices, init_from_matrices
 from .solver import run, step_arrays
@@ -480,3 +481,74 @@ def write_report(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _rsc(dims, kappa, sigma, scfg, seed, *, n_points=50, n_dirs=20, delta=0.1):
+    """check_rsc on the instance of this setting and seed."""
+    inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
+    rep = check_rsc(inst, n_points=n_points, n_dirs=n_dirs, delta=delta, rng_seed=seed)
+    params = {"dims": dims, "kappa": kappa, "sigma": sigma, "delta": rep.delta}
+    fields = dataclasses.asdict(rep)
+    metrics_out = {k: v for k, v in fields.items() if k not in ("passed", "delta", "notes")}
+    return params, metrics_out, rep.passed, rep.notes
+
+
+def _loo(dims, kappa, sigma, scfg, seed, *, l_set=(), n_holdout=8, loo_factor=0.1):
+    """Leave-one-out proximity over l_set, or over n_holdout indices drawn
+    from the seed; passes when it stays below loo_factor times the initial
+    distance to the truth.
+    """
+    inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
+    if not l_set:
+        gen = _rng.stream(seed, _rng.TAG_AUX)
+        count = min(n_holdout, dims.m)
+        l_set = sorted(int(v) for v in gen.choice(dims.m, size=count, replace=False))
+    res = leave_one_out_trajectories(inst, scfg, l_set)
+    max_proximity = float(np.max(res["series"]))
+    passed = bool(res["dist_initial"] > 0 and max_proximity < loo_factor * res["dist_initial"])
+    params = {"dims": dims, "kappa": kappa, "sigma": sigma, "eta": scfg.eta,
+              "max_iters": scfg.max_iters, "l_set": l_set, "loo_factor": loo_factor}
+    metrics_out = {"series": res["series"], "dist_initial": res["dist_initial"],
+                   "max_proximity": max_proximity, "degenerate": res["degenerate"]}
+    return params, metrics_out, passed, res["notes"]
+
+
+def _spectral(dims, kappa, sigma, scfg, seed, *, m_sweep=(400, 1600, 6400), n_trials=200):
+    """Back-projection spread at each m of m_sweep (dims.m is not used);
+    passes when the mean deviation falls strictly as m grows.
+    """
+    table = []
+    for m in m_sweep:
+        rep = spectral_concentration(Dimensions(s=dims.s, m=m, K=dims.K), sigma, n_trials, seed)
+        table.append(
+            {"m": m, "mean_deviation": rep["mean_deviation"], "max_deviation": rep["max_deviation"]}
+        )
+    means = [row["mean_deviation"] for row in table]
+    passed = all(b < a for a, b in zip(means, means[1:]))
+    params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "sigma": sigma,
+              "n_trials": n_trials}
+    return params, {"table": table}, passed, ()
+
+
+# verify_* experiment -> (report name, check). A check takes the scalar setting
+# (dims, kappa, sigma, solver config) and the seed, and returns the report's
+# params, metrics, pass flag and notes. Its keyword-only parameters are the
+# config extras the experiment reads, and their defaults are the extras'
+# defaults.
+CHECKS = {
+    "verify_rsc": ("rsc", _rsc),
+    "verify_loo": ("loo", _loo),
+    "verify_spectral": ("spectral", _spectral),
+}
+
+
+def check_extras(experiment: str) -> dict:
+    """The config extras a verify_* experiment reads, with their defaults."""
+    return dict(CHECKS[experiment][1].__kwdefaults__)
+
+
+def run_check(experiment: str, dims, kappa, sigma, scfg, seed: int, **extras) -> dict:
+    """The report of a verify_* experiment at one scalar setting and seed."""
+    name, check = CHECKS[experiment]
+    params, metrics_out, passed, notes = check(dims, kappa, sigma, scfg, seed, **extras)
+    return make_report(name, params, seed, metrics_out, passed, notes)

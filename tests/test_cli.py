@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from demix import solver
 from demix.cli import CSV_HEADER, SUMMARY_HEADER, main
 from demix.metrics import align_source
 from demix.problem import Dimensions, load_instance, make_instance
-from demix.solver import SolverConfig, run
+from demix.solver import DegenerateIterateError, SolverConfig, run
 from demix.verify import NOISE_MODEL_NOTE
 
 from oracles import grid_align, mp_align, mp_record_metrics
@@ -197,6 +198,28 @@ def test_verify_rejects_solver_experiments(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"kappa": [1.0, 3.0]}, "verify takes scalar dims/kappa/sigma"),
+        ({"sigma": [0.0, 0.1]}, "verify takes scalar dims/kappa/sigma"),
+        ({"dims": [{"s": 1, "m": 64, "K": 4}, {"s": 1, "m": 128, "K": 4}]},
+         "verify takes scalar dims/kappa/sigma"),
+        ({"experiment": "verify_loo", "n_points": 10}, "verify_loo does not read ['n_points']"),
+        # the default m_sweep [400, 1600, 6400] starts below K
+        ({"experiment": "verify_spectral", "dims": {"s": 1, "m": 500, "K": 450}, "n_trials": 1},
+         "m_sweep entries must be >= K = 450"),
+    ],
+    ids=["kappa_list", "sigma_list", "dims_list", "unread_extra", "default_m_sweep_below_K"],
+)
+def test_verify_setting_usage_errors(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **dict({"experiment": "verify_rsc"}, **overrides))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -258,6 +281,40 @@ def test_sweep_writes_summary(tmp_path):
     assert (tmp_path / "out2" / "summary_condition_number.csv").read_bytes() == summary.read_bytes()
 
 
+def test_sweep_finishes_after_a_failing_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("DEMIX_THREADS", raising=False)
+    clean = write_config(tmp_path, name="clean.json", seeds=[1, 2], max_iters=30,
+                         output_dir=str(tmp_path / "clean"))
+    assert main(["sweep", "--config", str(clean)]) == 0
+    step = solver.step_arrays
+    calls = []
+
+    def first_step_fails(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DegenerateIterateError("a source has zero norm; scaled step undefined")
+        return step(*args)
+
+    monkeypatch.setattr(solver, "step_arrays", first_step_fails)
+    cfg = write_config(tmp_path, seeds=[1, 2], max_iters=30)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 1 (trajectory_K4_s1_m64_kappa1_sigma0_seed1.csv): ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    out, ref = tmp_path / "out", tmp_path / "clean"
+    seed2 = "trajectory_K4_s1_m64_kappa1_sigma0_seed2.csv"
+    assert (out / seed2).read_bytes() == (ref / seed2).read_bytes()
+    failed = (out / "trajectory_K4_s1_m64_kappa1_sigma0_seed1.csv").read_text(encoding="utf-8")
+    lines = failed.splitlines()
+    assert lines[0] == CSV_HEADER and lines[1].startswith("0,")
+    assert lines[2] == ',,,,,,,"a source has zero norm; scaled step undefined"'
+    summary = (out / "summary_convergence.csv").read_text(encoding="utf-8").splitlines()
+    assert len(summary) == 3 and summary[1].split(",")[6] == "1" and summary[1].endswith(",,")
+    clean_summary = (ref / "summary_convergence.csv").read_text(encoding="utf-8").splitlines()
+    assert summary[2] == clean_summary[2]
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -274,6 +331,27 @@ def test_verify_rsc_report(tmp_path):
     assert report["pass"] is True
     assert report["metrics"]["sampling_failures"] == 0
     assert NOISE_MODEL_NOTE in report["notes"]
+    assert set(report) == {"check", "params", "seed", "metrics", "pass", "notes"}
+    assert report["params"] == {
+        "dims": {"s": 1, "m": 1600, "K": 4}, "kappa": 1.0, "sigma": 0.0, "delta": 0.1,
+    }
+    assert set(report["metrics"]) == {
+        "samples_tested", "min_quadratic_ratio", "smoothness_max", "kappa", "s",
+        "sampling_failures",
+    }
+    assert report["metrics"]["samples_tested"] == 50
+
+
+def test_verify_job_failure_is_an_error_line(tmp_path, capsys):
+    # 4sK = 4160 is over the 4096 dense-Hessian cap of check_rsc
+    cfg = write_config(tmp_path, experiment="verify_rsc", dims={"s": 2, "m": 2000, "K": 520})
+    assert main(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: seed 3 (report_verify_rsc_seed3.json): "
+        "4sK = 4160 exceeds the 4096 dense-Hessian cap\n"
+    )
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_verify_loo_report_pass_and_fail(tmp_path):
@@ -287,6 +365,14 @@ def test_verify_loo_report_pass_and_fail(tmp_path):
     )
     assert report["check"] == "loo"
     assert report["pass"] is True
+    assert set(report) == {"check", "params", "seed", "metrics", "pass", "notes"}
+    assert set(report["params"]) == {
+        "dims", "kappa", "sigma", "eta", "max_iters", "l_set", "loo_factor",
+    }
+    assert report["params"]["dims"] == {"s": 1, "m": 800, "K": 8}
+    assert report["params"]["loo_factor"] == 0.1
+    assert set(report["metrics"]) == {"series", "dist_initial", "max_proximity", "degenerate"}
+    assert len(report["metrics"]["series"]) == 61
     assert len(report["params"]["l_set"]) == 4
     assert report["metrics"]["max_proximity"] < 0.1 * report["metrics"]["dist_initial"]
     # a seed whose proximity exceeds the bound maps to exit code 1
@@ -308,7 +394,13 @@ def test_verify_spectral_report(tmp_path):
     )
     assert report["check"] == "spectral"
     assert report["pass"] is True
+    assert set(report) == {"check", "params", "seed", "metrics", "pass", "notes"}
+    assert report["params"] == {
+        "dims": {"s": 1, "K": 4}, "m_sweep": [64, 256], "sigma": 0.0, "n_trials": 40,
+    }
+    assert set(report["metrics"]) == {"table"}
     table = report["metrics"]["table"]
+    assert all(set(row) == {"m", "mean_deviation", "max_deviation"} for row in table)
     assert [row["m"] for row in table] == [64, 256]
     assert table[1]["mean_deviation"] < table[0]["mean_deviation"]
 
