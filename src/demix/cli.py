@@ -151,6 +151,8 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     unread = sorted(set(extras) - set(reads))
     if unread:
         raise UsageError(f"{experiment} does not read {unread}")
+    if {"l_set", "n_holdout"} <= set(extras):
+        raise UsageError("give l_set or n_holdout, not both: n_holdout only sizes a drawn l_set")
     extras = {**reads, **extras}
     if any(m < dims[0].K for m in extras.get("m_sweep", ())):
         raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")

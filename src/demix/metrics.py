@@ -40,52 +40,62 @@ def align_objective(alpha: complex, h, x, h_ref, x_ref) -> float:
     )
 
 
+def _rowdot(a, b):
+    # a_i^* b_i for each row; each row's sum is formed as it would be alone
+    return np.sum(np.conj(a) * b, axis=-1)
+
+
+def _sqnorm(v):
+    return _rowdot(v, v).real
+
+
 def _phi_terms(h, x, h_ref, x_ref):
-    nh = float(np.real(np.vdot(h, h)))
-    nx = float(np.real(np.vdot(x, x)))
-    p = complex(np.vdot(h_ref, h))  # h_ref^* h
-    q = complex(np.vdot(x_ref, x))  # x_ref^* x
+    nh = _sqnorm(h)
+    nx = _sqnorm(x)
+    p = _rowdot(h_ref, h)  # h_ref^* h
+    q = _rowdot(x_ref, x)  # x_ref^* x
     return nh, nx, p, q
 
 
 def _phi(beta, nh, nx, p, q):
     # objective over beta = |alpha| after the optimal phase is substituted in:
     # phi(beta) = nh/beta^2 + nx beta^2 - 2 |p/beta + q beta|
-    beta = np.asarray(beta, dtype=float)
     w = p / beta + q * beta
     return nh / beta**2 + nx * beta**2 - 2.0 * np.abs(w)
 
 
-def _newton_polish(beta, nh, nx, p, q) -> float:
+def _newton_polish(beta, nh, nx, p, q):
     # Newton steps on phi'(beta) = 0, taken without comparing phi values:
     # phi is flat to ~eps near its minimum, so a test on phi would stop the
-    # polish at a sqrt(eps)-accurate point. Stops where phi is not smooth
-    # (|w| = 0) or not convex, or once a step is a few ulps of beta.
-    for _ in range(8):
-        w = p / beta + q * beta
-        aw = abs(w)
-        if aw == 0:
-            break
-        dw = q - p / beta**2
-        d2w = 2.0 * p / beta**3
-        re1 = (np.conj(w) * dw).real
-        d1 = -2.0 * nh / beta**3 + 2.0 * nx * beta - 2.0 * re1 / aw
-        d2 = 6.0 * nh / beta**4 + 2.0 * nx - 2.0 * (
-            (abs(dw) ** 2 + (np.conj(w) * d2w).real) / aw - re1**2 / aw**3
-        )
-        if not d2 > 0:
-            break
-        step = d1 / d2
-        if not (np.isfinite(step) and beta - step > 0):
-            break
-        beta -= step
-        if abs(step) <= 4.0 * np.finfo(float).eps * beta:
-            break
-    return float(beta)
+    # polish at a sqrt(eps)-accurate point. A row stops where phi is not
+    # smooth (|w| = 0) or not convex, or once its step is a few ulps of beta.
+    active = np.ones(beta.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            w = p / beta + q * beta
+            aw = np.abs(w)
+            dw = q - p / beta**2
+            d2w = 2.0 * p / beta**3
+            re1 = (np.conj(w) * dw).real
+            d1 = -2.0 * nh / beta**3 + 2.0 * nx * beta - 2.0 * re1 / aw
+            d2 = 6.0 * nh / beta**4 + 2.0 * nx - 2.0 * (
+                (np.abs(dw) ** 2 + (np.conj(w) * d2w).real) / aw - re1**2 / aw**3
+            )
+            step = d1 / d2
+            active &= (aw != 0) & (d2 > 0) & np.isfinite(step) & (beta - step > 0)
+            beta = np.where(active, beta - step, beta)
+            active &= np.abs(step) > 4.0 * np.finfo(float).eps * beta
+            if not active.any():
+                break
+    return beta
 
 
-def align_source(h, x, h_ref, x_ref) -> complex:
-    """Global minimizer of g(alpha) over alpha in C \\ {0}.
+def align_source(h, x, h_ref, x_ref):
+    """Global minimizer of g(alpha) over alpha in C \\ {0}, row by row.
+
+    The arguments are (K,) vectors, giving a complex alpha, or (s, K) stacks
+    of pairs, giving an (s,) array whose row i equals the (K,) call on row i
+    bit for bit.
 
     For fixed beta = |alpha| the optimal phase is closed form,
     exp(i theta) = conj(w)/|w| with w = p/beta + q beta, which leaves
@@ -95,41 +105,57 @@ def align_source(h, x, h_ref, x_ref) -> complex:
         (nx t^2 - nh)^2 (|q|^2 t^2 + 2 Re(p conj(q)) t + |p|^2)
             - t (|q|^2 t^2 - |p|^2)^2 = 0,
 
-    solved by companion-matrix eigenvalues in the variable t / (nh/nx)^(1/2),
-    in which the roots do not move under the (h, x) gauge. The candidates
-    are the real parts of the roots that are positive (rounding can split a
-    double root into a complex pair), the kink t = |p|/|q| and the balanced
-    point t = (nh/nx)^(1/2). The phi-minimizer among them is polished by
-    Newton steps on phi'(beta) = 0 unless |w| = 0 there, where phi is not
-    smooth. The result agrees with a 50-digit root of phi' to a few ulps.
+    in the variable tau = t / (nh/nx)^(1/2), in which the roots do not move
+    under the (h, x) gauge. Its roots are the eigenvalues of one (s, 6, 6)
+    stack of companion matrices; a row with q = 0 has a quartic, whose
+    roots are taken as reciprocals of the reversed polynomial's. The
+    candidates are the real parts of the roots that are positive (rounding
+    can split a double root into a complex pair), the kink t = |p|/|q| and
+    the balanced point beta = (nh/nx)^(1/4), which is the minimizer when
+    p = q = 0. The phi-minimizer among them is polished by Newton steps on
+    phi'(beta) = 0 unless |w| = 0 there, where phi is not smooth. The result
+    agrees with a 50-digit root of phi' to a few ulps.
     """
-    if np.linalg.norm(h) == 0 or np.linalg.norm(x) == 0:
+    h, x, h_ref, x_ref = (np.asarray(v, dtype=complex) for v in (h, x, h_ref, x_ref))
+    shapes = [v.shape for v in (h, x, h_ref, x_ref)]
+    if h.ndim not in (1, 2) or shapes[2:] != shapes[:2] or shapes[0][:-1] != shapes[1][:-1]:
+        raise ValueError(f"align_source wants (K,) vectors or (s, K) stacks, got shapes {shapes}")
+    nh, nx, p, q = _phi_terms(*np.atleast_2d(h, x, h_ref, x_ref))
+    if np.any(nh == 0) or np.any(nx == 0):
         raise ValueError("align_source requires nonzero h and x")
-    nh, nx, p, q = _phi_terms(h, x, h_ref, x_ref)
 
-    if p == 0 and q == 0:
-        # pure scale balancing, closed form
-        beta = (nh / nx) ** 0.25
-        return complex(beta)
-
-    # the sextic in tau = t / t0, divided through by nh^2
+    # the sextic in tau = t / t0, divided through by nh^2, highest power first
     t0 = np.sqrt(nh / nx)
-    a, b, r = abs(q) ** 2 * t0**2, abs(p) ** 2, (p * np.conj(q)).real * t0
-    sextic = np.polysub(
-        np.polymul([1.0, 0.0, -2.0, 0.0, 1.0], [a, 2.0 * r, b]),
-        (t0 / nh**2) * np.polymul([1.0, 0.0], np.polymul([a, 0.0, -b], [a, 0.0, -b])),
+    a, b, r = np.abs(q) ** 2 * t0**2, np.abs(p) ** 2, (p * np.conj(q)).real * t0
+    c = t0 / nh**2
+    coef = np.stack(
+        [a, 2.0 * r - c * a**2, b - 2.0 * a, 2.0 * c * a * b - 4.0 * r,
+         a - 2.0 * b, 2.0 * r - c * b**2, b],
+        axis=-1,
     )
-    tau = np.roots(sextic).real
-    cands = [t0 * tau[(tau > 0) & np.isfinite(tau)], [t0]]
-    if p != 0 and q != 0:
-        cands.append([abs(p) / abs(q)])
-    betas = np.sqrt(np.concatenate(cands))
-    beta = _newton_polish(float(betas[np.argmin(_phi(betas, nh, nx, p, q))]), nh, nx, p, q)
+    flip = a == 0
+    coef[flip] = coef[flip, ::-1]
+    lead = np.where(coef[:, 0] == 0, 1.0, coef[:, 0])  # p = q = 0: no roots needed
+    companion = np.zeros((len(coef), 6, 6))
+    companion[:, 0, :] = -coef[:, 1:] / lead[:, None]
+    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots[flip] = 1.0 / roots[flip]
+        kink = np.abs(p) / np.abs(q)
+    t = np.concatenate([t0[:, None] * roots.real, t0[:, None], kink[:, None]], axis=1)
+    ok = (t > 0) & np.isfinite(t)
+    betas = np.sqrt(np.where(ok, t, 1.0))
+    betas[:, 6] = (nh / nx) ** 0.25  # the balanced point in closed form
+    phi = np.where(ok, _phi(betas, nh[:, None], nx[:, None], p[:, None], q[:, None]), np.inf)
+    beta = betas[np.arange(len(betas)), np.argmin(phi, axis=1)]
+    beta = _newton_polish(beta, nh, nx, p, q)
 
     w = p / beta + q * beta
-    if abs(w) == 0:
-        return complex(beta)
-    return complex(beta * np.conj(w) / abs(w))
+    aw = np.abs(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(aw == 0, beta, beta * np.conj(w) / aw)
+    return complex(alpha[0]) if h.ndim == 1 else alpha
 
 
 def align_source_unit(h, x, h_ref, x_ref) -> complex:
@@ -147,25 +173,26 @@ def align_source_unit(h, x, h_ref, x_ref) -> complex:
     return complex(np.conj(w) / abs(w))
 
 
-def aligned_error(h, x, h_ref, x_ref) -> tuple[complex, float]:
-    """(alpha, g(alpha)) at the unconstrained optimum."""
+def aligned_error(h, x, h_ref, x_ref):
+    """(alpha, g(alpha)) at the unconstrained optimum; for (s, K) stacks both
+    are (s,) arrays, row i equal to the (K,) call on row i.
+    """
     alpha = align_source(h, x, h_ref, x_ref)
-    return alpha, align_objective(alpha, h, x, h_ref, x_ref)
+    a = np.asarray(alpha)[..., None]
+    err = _sqnorm(h / np.conj(a) - h_ref) + _sqnorm(a * x - x_ref)
+    return alpha, (float(err) if np.ndim(err) == 0 else err)
 
 
 def align_state(state, truth) -> Alignment:
-    """Align each source of an iterate onto truth's pairs with one align_source
-    call, giving both alpha_i and the aligned squared error g_i(alpha_i).
+    """Align every source of an iterate onto truth's pairs with one stacked
+    align_source call, giving both alpha_i and the aligned squared error
+    g_i(alpha_i).
     """
     if truth.h.shape != state.h.shape:
         raise ValueError(
             f"state and truth shapes differ: {state.h.shape} vs {truth.h.shape}"
         )
-    s = state.h.shape[0]
-    alpha = np.empty(s, dtype=complex)
-    error = np.empty(s)
-    for i in range(s):
-        alpha[i], error[i] = aligned_error(state.h[i], state.x[i], truth.h[i], truth.x[i])
+    alpha, error = aligned_error(state.h, state.x, truth.h, truth.x)
     return Alignment(alpha=alpha, error=error)
 
 
@@ -199,16 +226,21 @@ def relative_error(state, truth) -> float:
 def incoherence_mu(truth, B) -> float:
     """Smallest mu with |b_j^* h_i| <= mu ||h_i|| / sqrt(m) for all (i, j)."""
     m = B.shape[0]
-    P = np.abs(np.conj(B) @ truth.h.T)  # (m, s)
+    P = np.abs(B @ np.conj(truth.h).T)  # (m, s), |conj(b_j^* h_i)|
     norms = np.linalg.norm(truth.h, axis=1)
     return float(np.sqrt(m) * np.max(P / norms[None, :]))
 
 
-def incoherence_measures(state, truth, inst, alignments: Alignment):
+def incoherence_measures(state, truth, inst, alignments: Alignment, P):
     """Design-coherence trajectory measures (inc_a, inc_b).
 
     inc_a = max_{i,j} |a_ij^* (alpha_i x_i - x'_i)| / ||x'_i||
     inc_b = max_{i,j} |b_j^* (h_i / conj(alpha_i))| / ||h'_i||
+          = max_{i,j} |P_ji| / (|alpha_i| ||h'_i||)
+
+    P is the state's (m, s) matrix b_j^* h_i, as the forward map forms it.
+    inc_a keeps its own pass over A: forming a_ij^* x_i from the forward
+    map's Q would subtract nearly equal numbers near the truth.
     """
     if alignments is None:
         raise ValueError("incoherence_measures requires precomputed alignments")
@@ -219,8 +251,6 @@ def incoherence_measures(state, truth, inst, alignments: Alignment):
     xn = np.linalg.norm(truth.x, axis=1)
     inc_a = float(np.max(vals / xn[:, None]))
 
-    ht = state.h / np.conj(alpha)[:, None]
-    P = np.abs(np.conj(inst.B) @ ht.T)  # (m, s)
-    hn = np.linalg.norm(truth.h, axis=1)
-    inc_b = float(np.max(P / hn[None, :]))
+    hn = np.abs(alpha) * np.linalg.norm(truth.h, axis=1)
+    inc_b = float(np.max(np.abs(P) / hn[None, :]))
     return inc_a, inc_b

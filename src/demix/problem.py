@@ -174,7 +174,7 @@ def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
     This is the single arithmetic path shared by synthesis, residual and
     gradient evaluation, so state == truth reproduces y - e bit for bit.
     """
-    P = np.conj(B) @ H.T
+    P = np.conj(B @ np.conj(H).T)  # conj(B) is never formed
     Q = np.matmul(A, np.conj(X)[:, :, None])[:, :, 0]
     fwd = np.sum(P.T * Q, axis=0)
     return P, Q, fwd

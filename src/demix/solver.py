@@ -152,8 +152,10 @@ def wf_step(state: DemixState, inst: ProblemInstance, eta: float) -> DemixState:
     return step_arrays(state, Gh, Gx, eta)
 
 
-def _record(t, loss_t, state, prev_alpha, inst) -> TrajectoryRecord:
-    """Metrics of one iterate; prev_alpha is the predecessor's alpha (None at t = 0)."""
+def _record(t, loss_t, state, P, prev_alpha, inst) -> TrajectoryRecord:
+    """Metrics of one iterate; P is its forward-map matrix b_j^* h_i from the
+    gradient and prev_alpha the predecessor's alpha (None at t = 0).
+    """
     truth = inst.truth
     if truth is None:
         return TrajectoryRecord(iter=t, loss=loss_t)
@@ -162,7 +164,7 @@ def _record(t, loss_t, state, prev_alpha, inst) -> TrajectoryRecord:
         ratios = np.zeros(state.h.shape[0])
     else:
         ratios = np.abs(align.alpha / prev_alpha - 1.0)
-    inc_a, inc_b = metrics.incoherence_measures(state, truth, inst, align)
+    inc_a, inc_b = metrics.incoherence_measures(state, truth, inst, align, P)
     return TrajectoryRecord(
         iter=t,
         loss=loss_t,
@@ -195,7 +197,7 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
     t = 0
     while True:
         stepping = t < cfg.max_iters
-        Gh, Gx, r, _, _ = _gradient_full(state, inst)
+        Gh, Gx, r, P, _ = _gradient_full(state, inst)
         loss_t = float(np.real(np.vdot(r, r)))
         if loss0 is None:
             loss0 = loss_t
@@ -210,7 +212,7 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
                 prev_alpha = records[-1].alignment.alpha
             else:
                 prev_alpha = metrics.align_state(prev_state, truth).alpha
-            rec = _record(t, loss_t, state, prev_alpha, inst)
+            rec = _record(t, loss_t, state, P, prev_alpha, inst)
             records.append(rec)
             if (
                 truth is not None

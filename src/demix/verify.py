@@ -197,10 +197,10 @@ def check_rsc(
             zb = sample_state(0.8 * rho)
             parts = []
             ok = True
+            alphas = metrics.align_source(zb.h, zb.x, za.h, za.x)
             for i in range(s):
-                alpha = metrics.align_source(zb.h[i], zb.x[i], za.h[i], za.x[i])
-                hb = zb.h[i] / np.conj(alpha)
-                xb = alpha * zb.x[i]
+                hb = zb.h[i] / np.conj(alphas[i])
+                xb = alphas[i] * zb.x[i]
                 in_ball = (
                     np.linalg.norm(hb - truth.h[i]) <= rho
                     and np.linalg.norm(xb - truth.x[i]) <= rho
@@ -331,14 +331,15 @@ def _pair_distance(state: DemixState, ref_h: np.ndarray, ref_x: np.ndarray, d: n
     energies d_i, matching the truth-distance convention. Zero-norm sources
     (the degenerate leave-one-out case) contribute the reference energy.
     """
+    live = (np.linalg.norm(state.h, axis=1) != 0) & (np.linalg.norm(state.x, axis=1) != 0)
+    g = np.empty(len(d))
+    if live.any():
+        g[live] = metrics.aligned_error(state.h[live], state.x[live], ref_h[live], ref_x[live])[1]
+    for i in np.flatnonzero(~live):
+        g[i] = np.linalg.norm(ref_h[i]) ** 2 + np.linalg.norm(ref_x[i]) ** 2
     total = 0.0
-    for i in range(state.h.shape[0]):
-        h, x = state.h[i], state.x[i]
-        if np.linalg.norm(h) == 0 or np.linalg.norm(x) == 0:
-            g = float(np.linalg.norm(ref_h[i]) ** 2 + np.linalg.norm(ref_x[i]) ** 2)
-        else:
-            _, g = metrics.aligned_error(h, x, ref_h[i], ref_x[i])
-        total += g / d[i]
+    for g_i, d_i in zip(g, d):
+        total += g_i / d_i
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -183,7 +183,8 @@ def mp_align(h, x, h_ref, x_ref, beta0: float, dps: int = 50):
     phi(beta) = ||h||^2/beta^2 + ||x||^2 beta^2 - 2|w|, w = p/beta + q beta,
     is the alignment objective with the optimal phase conj(w)/|w| put in.
     beta0 must lie in the basin of the wanted root; global optimality is
-    checked separately against grid_align.
+    checked separately against grid_align. With p = q = 0, phi is
+    nh/beta^2 + nx beta^2 and alpha is its minimizer (nh/nx)^(1/4).
     """
     import mpmath
 
@@ -192,6 +193,8 @@ def mp_align(h, x, h_ref, x_ref, beta0: float, dps: int = 50):
         h, x, h_ref, x_ref = (_mp_vec(mp, v) for v in (h, x, h_ref, x_ref))
         nh, nx = _mp_norm2(mp, h), _mp_norm2(mp, x)
         p, q = _mp_vdot(mp, h_ref, h), _mp_vdot(mp, x_ref, x)
+        if p == 0 and q == 0:
+            return mp.mpc(mp.root(nh / nx, 4))
 
         def dphi(b):
             w = p / b + q * b

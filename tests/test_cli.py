@@ -206,11 +206,14 @@ def test_verify_rejects_solver_experiments(tmp_path):
         ({"dims": [{"s": 1, "m": 64, "K": 4}, {"s": 1, "m": 128, "K": 4}]},
          "verify takes scalar dims/kappa/sigma"),
         ({"experiment": "verify_loo", "n_points": 10}, "verify_loo does not read ['n_points']"),
+        ({"experiment": "verify_loo", "dims": {"s": 1, "m": 200, "K": 4}, "l_set": [0, 5],
+          "n_holdout": 4}, "give l_set or n_holdout, not both"),
         # the default m_sweep [400, 1600, 6400] starts below K
         ({"experiment": "verify_spectral", "dims": {"s": 1, "m": 500, "K": 450}, "n_trials": 1},
          "m_sweep entries must be >= K = 450"),
     ],
-    ids=["kappa_list", "sigma_list", "dims_list", "unread_extra", "default_m_sweep_below_K"],
+    ids=["kappa_list", "sigma_list", "dims_list", "unread_extra", "l_set_with_n_holdout",
+         "default_m_sweep_below_K"],
 )
 def test_verify_setting_usage_errors(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **dict({"experiment": "verify_rsc"}, **overrides))

@@ -18,7 +18,7 @@ from demix.metrics import (
     relative_error,
 )
 from demix.objective import DemixState
-from demix.problem import Dimensions, make_instance, sample_ground_truth
+from demix.problem import Dimensions, forward_parts, make_instance, sample_ground_truth
 
 from oracles import grid_align, mp_align
 
@@ -110,6 +110,10 @@ def test_align_rejects_zero_vectors():
         align_source(z, v, v, v)
     with pytest.raises(ValueError):
         align_source_unit(v, z, v, v)
+    with pytest.raises(ValueError):
+        align_source(np.stack([v, v]), np.stack([v, z]), np.stack([v, v]), np.stack([v, v]))
+    with pytest.raises(ValueError):
+        align_source(np.stack([v, v]), v, np.stack([v, v]), v)
 
 
 @settings(max_examples=25, deadline=None)
@@ -176,6 +180,44 @@ def test_align_matches_high_precision_root():
         want = complex(mp_align(h, x, h_ref, x_ref, beta0))
         alpha = align_source(h, x, h_ref, x_ref)
         assert abs(alpha - want) <= 1e-14 * abs(want)
+
+
+def _stacked_cases(seed, K=6):
+    # one (s, K) stack of generic, near-truth, p = 0, q = 0 and p = q = 0 rows;
+    # disjoint supports make p or q exactly zero
+    gen = np.random.default_rng(seed)
+
+    def vec(lo, hi):
+        v = np.zeros(K, dtype=complex)
+        v[lo:hi] = gen.standard_normal(hi - lo) + 1j * gen.standard_normal(hi - lo)
+        return v
+
+    rows = [_pair(gen, K) for _ in range(4)] + list(_near_truth_pairs(gen, K))
+    half = K // 2
+    rows.append((vec(0, half), vec(0, K), vec(half, K), vec(0, K)))  # p = 0
+    rows.append((vec(0, K), vec(0, half), vec(0, K), vec(half, K)))  # q = 0
+    rows.append((vec(0, half), vec(0, half), vec(half, K), vec(half, K)))  # p = q = 0
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def test_stacked_align_matches_high_precision_root():
+    pytest.importorskip("mpmath")
+    h, x, h_ref, x_ref = _stacked_cases(51)
+    alpha = align_source(h, x, h_ref, x_ref)
+    assert alpha.shape == (len(h),)
+    for i, row in enumerate(zip(h, x, h_ref, x_ref)):
+        want = complex(mp_align(*row, abs(grid_align(*row)[0])))
+        assert abs(alpha[i] - want) <= 1e-14 * abs(want), i
+
+
+def test_stacked_align_rows_equal_single_calls():
+    for seed in (52, 53):
+        h, x, h_ref, x_ref = _stacked_cases(seed)
+        alpha, err = aligned_error(h, x, h_ref, x_ref)
+        for i in range(len(h)):
+            a_i, g_i = aligned_error(h[i], x[i], h_ref[i], x_ref[i])
+            assert alpha[i].tobytes() == np.complex128(a_i).tobytes(), i
+            assert err[i].tobytes() == np.float64(g_i).tobytes(), i
 
 
 # ------------------------------------------------------------ dist / rel. err
@@ -305,14 +347,36 @@ def test_incoherence_measures_at_truth(small_instance):
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     alignments = align_state(st, inst.truth)
     assert np.allclose(alignments.alpha, 1.0, atol=1e-8)
-    inc_a, inc_b = incoherence_measures(st, inst.truth, inst, alignments)
+    P = forward_parts(st.h, st.x, inst.A, inst.B)[0]
+    inc_a, inc_b = incoherence_measures(st, inst.truth, inst, alignments, P)
     assert inc_a <= 1e-7
     want_b = inst.truth.mu / np.sqrt(inst.dims.m)
     assert inc_b == pytest.approx(want_b, rel=1e-6)
 
 
+def test_incoherence_b_from_forward_map_matches_direct_formula(small_instance):
+    # inc_b = max |P_ji| / (|alpha_i| ||h'_i||) against |b_j^*(h_i / conj(alpha_i))| / ||h'_i||
+    inst, truth = small_instance, small_instance.truth
+    gen = np.random.default_rng(65)
+    shape = (2,) + truth.h.shape
+    noise = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    st = _gauge_shift(
+        DemixState(h=truth.h + 0.2 * noise[0], x=truth.x + 0.2 * noise[1]), [0.3 - 2.1j, 1.7 + 0.4j]
+    )
+    alignments = align_state(st, truth)
+    P = forward_parts(st.h, st.x, inst.A, inst.B)[0]
+    _, inc_b = incoherence_measures(st, truth, inst, alignments, P)
+    direct = max(
+        abs(np.vdot(inst.B[j], st.h[i] / np.conj(alignments.alpha[i]))) / np.linalg.norm(truth.h[i])
+        for i in range(inst.dims.s)
+        for j in range(inst.dims.m)
+    )
+    assert abs(inc_b - direct) <= 8 * np.finfo(float).eps * direct
+
+
 def test_incoherence_requires_alignments(small_instance):
     inst = small_instance
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
+    P = forward_parts(st.h, st.x, inst.A, inst.B)[0]
     with pytest.raises(ValueError):
-        incoherence_measures(st, inst.truth, inst, None)
+        incoherence_measures(st, inst.truth, inst, None, P)

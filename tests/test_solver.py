@@ -243,7 +243,11 @@ def test_run_aligns_each_source_once_per_record(
 
     monkeypatch.setattr(demix.metrics, "align_source", counted)
     run(small_instance, SolverConfig(eta=0.2, max_iters=max_iters, record_every=record_every))
-    assert len(calls) == per_source * small_instance.dims.s
+    s = small_instance.dims.s
+    # one stacked call per aligned state, each aligning all s sources
+    assert len(calls) == per_source
+    assert all(np.shape(args[0]) == (s, small_instance.dims.K) for args in calls)
+    assert sum(len(args[0]) for args in calls) == per_source * s
 
 
 def test_run_divergence_carries_partial_records():
