@@ -6,7 +6,6 @@ regularization-free scaled gradient descent, plus the metric and
 verification machinery around it.
 """
 
-from .estimator import WirtingerFlowDemixer
 from .metrics import (
     Alignment,
     align_source,
@@ -68,7 +67,6 @@ __all__ = [
     "RscReport",
     "SolverConfig",
     "TrajectoryRecord",
-    "WirtingerFlowDemixer",
     "align_source",
     "align_source_unit",
     "align_state",
