@@ -21,10 +21,8 @@ from .objective import (
     HessianBlocks,
     assemble_source_hessian,
     hessian_blocks,
-    leave_one_out_gradient,
     loss,
     residuals,
-    wirtinger_gradient,
 )
 from .problem import (
     Dimensions,
@@ -77,7 +75,6 @@ __all__ = [
     "hessian_blocks",
     "incoherence_measures",
     "incoherence_mu",
-    "leave_one_out_gradient",
     "leave_one_out_trajectories",
     "load_instance",
     "loss",
@@ -95,7 +92,6 @@ __all__ = [
     "spectral_init",
     "synthesize_measurements",
     "wf_step",
-    "wirtinger_gradient",
 ]
 
 __version__ = "0.1.0"

@@ -32,14 +32,6 @@ class DemixState:
         if self.h.shape != self.x.shape or self.h.ndim != 2:
             raise ShapeError(f"h and x must both be (s, K): {self.h.shape} vs {self.x.shape}")
 
-    @property
-    def sources(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.h[i], self.x[i]) for i in range(self.h.shape[0])]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "DemixState":
-        return cls(h=np.array([p[0] for p in pairs]), x=np.array([p[1] for p in pairs]))
-
     def copy(self) -> "DemixState":
         return DemixState(h=self.h.copy(), x=self.x.copy())
 
@@ -107,12 +99,6 @@ def gradient_arrays(state: DemixState, inst: ProblemInstance):
     return Gh, Gx
 
 
-def wirtinger_gradient(state: DemixState, inst: ProblemInstance):
-    """List of s pairs (g_h_i, g_x_i)."""
-    Gh, Gx = gradient_arrays(state, inst)
-    return [(Gh[i], Gx[i]) for i in range(Gh.shape[0])]
-
-
 def leave_one_out_arrays(state: DemixState, inst: ProblemInstance, l: int):
     """Gradient of the loss with measurement l deleted, as (s, K) arrays.
 
@@ -126,12 +112,6 @@ def leave_one_out_arrays(state: DemixState, inst: ProblemInstance, l: int):
     Gh = Gh - (r[l] * np.conj(Q[:, l]))[:, None] * inst.B[l][None, :]
     Gx = Gx - (np.conj(r[l]) * P[l, :])[:, None] * inst.A[:, l, :]
     return Gh, Gx
-
-
-def leave_one_out_gradient(state: DemixState, inst: ProblemInstance, l: int):
-    """Per-source pairs (g_h_i, g_x_i) of the loss with measurement l deleted."""
-    Gh, Gx = leave_one_out_arrays(state, inst, l)
-    return [(Gh[i], Gx[i]) for i in range(Gh.shape[0])]
 
 
 def hessian_blocks(state: DemixState, inst: ProblemInstance, i: int, clean: bool = True) -> HessianBlocks:

@@ -83,10 +83,6 @@ class GroundTruth:
             kappa=float(xn.max() / xn.min()),
         )
 
-    @property
-    def sources(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.h[i], self.x[i]) for i in range(self.h.shape[0])]
-
 
 @dataclass
 class ProblemInstance:

@@ -14,11 +14,9 @@ from demix.objective import (
     hessian_blocks,
     HessianBlocks,
     leave_one_out_arrays,
-    leave_one_out_gradient,
     loss,
     quadratic_form,
     residuals,
-    wirtinger_gradient,
 )
 from demix.problem import Dimensions, ProblemInstance, ShapeError, make_instance
 
@@ -120,17 +118,6 @@ def test_directional_derivative_identity():
         assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-8)
 
 
-def test_wirtinger_gradient_pairs_match_arrays(small_instance):
-    gen = np.random.default_rng(0)
-    st = random_state(small_instance.dims, gen)
-    Gh, Gx = gradient_arrays(st, small_instance)
-    pairs = wirtinger_gradient(st, small_instance)
-    assert len(pairs) == small_instance.dims.s
-    for i, (gh, gx) in enumerate(pairs):
-        assert np.array_equal(gh, Gh[i])
-        assert np.array_equal(gx, Gx[i])
-
-
 def test_zero_residual_stationarity_exact(small_instance):
     inst = small_instance
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
@@ -210,17 +197,6 @@ def test_loo_matches_gradient_of_reduced_instance():
         Lh, Lx = leave_one_out_arrays(st, inst, l)
         assert np.allclose(Lh, Rh, rtol=1e-11, atol=1e-12)
         assert np.allclose(Lx, Rx, rtol=1e-11, atol=1e-12)
-
-
-def test_loo_pairs_match_arrays(small_instance):
-    gen = np.random.default_rng(11)
-    st = random_state(small_instance.dims, gen)
-    Lh, Lx = leave_one_out_arrays(st, small_instance, 3)
-    pairs = leave_one_out_gradient(st, small_instance, 3)
-    assert len(pairs) == small_instance.dims.s
-    for i, (gh, gx) in enumerate(pairs):
-        assert np.array_equal(gh, Lh[i])
-        assert np.array_equal(gx, Lx[i])
 
 
 def test_loo_index_bounds(small_instance):
