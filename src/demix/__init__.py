@@ -9,7 +9,6 @@ verification machinery around it.
 from .metrics import (
     Alignment,
     align_source,
-    align_source_unit,
     align_state,
     dist,
     incoherence_measures,
@@ -66,7 +65,6 @@ __all__ = [
     "SolverConfig",
     "TrajectoryRecord",
     "align_source",
-    "align_source_unit",
     "align_state",
     "alignment_ratio_series",
     "assemble_source_hessian",

@@ -32,14 +32,6 @@ class Alignment:
         return float(np.sqrt(max(total, 0.0)))
 
 
-def align_objective(alpha: complex, h, x, h_ref, x_ref) -> float:
-    """g(alpha) = ||h/conj(alpha) - h_ref||^2 + ||alpha x - x_ref||^2."""
-    a = complex(alpha)
-    return float(
-        np.linalg.norm(h / np.conj(a) - h_ref) ** 2 + np.linalg.norm(a * x - x_ref) ** 2
-    )
-
-
 def _rowdot(a, b):
     # a_i^* b_i for each row; each row's sum is formed as it would be alone
     return np.sum(np.conj(a) * b, axis=-1)
@@ -156,21 +148,6 @@ def align_source(h, x, h_ref, x_ref):
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.where(aw == 0, beta, beta * np.conj(w) / aw)
     return complex(alpha[0]) if h.ndim == 1 else alpha
-
-
-def align_source_unit(h, x, h_ref, x_ref) -> complex:
-    """Phase-only minimizer: alpha with |alpha| = 1.
-
-    Expanding the constrained objective leaves -2 Re(exp(i theta)(p + q))
-    to maximize, so alpha = conj(p + q)/|p + q| (alpha = 1 when p + q = 0).
-    """
-    if np.linalg.norm(h) == 0 or np.linalg.norm(x) == 0:
-        raise ValueError("align_source_unit requires nonzero h and x")
-    _, _, p, q = _phi_terms(h, x, h_ref, x_ref)
-    w = p + q
-    if abs(w) == 0:
-        return complex(1.0)
-    return complex(np.conj(w) / abs(w))
 
 
 def aligned_error(h, x, h_ref, x_ref):

@@ -60,23 +60,8 @@ def residuals(state: DemixState, inst: ProblemInstance) -> np.ndarray:
     return forward_parts(state.h, state.x, inst.A, inst.B)[2] - inst.y
 
 
-def clean_residuals(state: DemixState, inst: ProblemInstance) -> np.ndarray:
-    """Noise-free residual sum_k b_j^*(h_k x_k^* - h'_k x'_k^*) a_kj."""
-    _check(state, inst)
-    if inst.truth is None:
-        raise ValueError("clean residuals need the ground truth attached")
-    fwd = forward_parts(state.h, state.x, inst.A, inst.B)[2]
-    fwd_true = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
-    return fwd - fwd_true
-
-
 def loss(state: DemixState, inst: ProblemInstance) -> float:
     r = residuals(state, inst)
-    return float(np.real(np.vdot(r, r)))
-
-
-def clean_loss(state: DemixState, inst: ProblemInstance) -> float:
-    r = clean_residuals(state, inst)
     return float(np.real(np.vdot(r, r)))
 
 
@@ -157,13 +142,3 @@ def assemble_source_hessian(blocks: HessianBlocks) -> np.ndarray:
     C = np.block([[blocks.C1, blocks.C2], [blocks.C2.conj().T, blocks.C3]])
     E = np.block([[Z, blocks.E1], [blocks.E2, Z]])
     return np.block([[C, E], [E.conj().T, np.conj(C)]])
-
-
-def quadratic_form(H: np.ndarray, dh: np.ndarray, dx: np.ndarray) -> float:
-    """u^* H u with u = [dh; dx; conj(dh); conj(dx)].
-
-    Second-order term of the expansion f(z + t d) = f(z) + 2 t Re<g, d>
-    + (t^2/2) u^* H u + O(t^3) along a single-source direction.
-    """
-    u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)])
-    return float(np.real(np.vdot(u, H @ u)))

@@ -54,6 +54,30 @@ def naive_backprojection(A, B, y):
     return out
 
 
+def clean_residuals(state, inst) -> np.ndarray:
+    """Noise-free residual sum_k b_j^*(h_k x_k^* - h'_k x'_k^*) a_kj."""
+    if inst.truth is None:
+        raise ValueError("clean residuals need the ground truth attached")
+    fwd = naive_forward(state.h, state.x, inst.A, inst.B)
+    fwd_true = naive_forward(inst.truth.h, inst.truth.x, inst.A, inst.B)
+    return fwd - fwd_true
+
+
+def clean_loss(state, inst) -> float:
+    r = clean_residuals(state, inst)
+    return float(np.real(np.vdot(r, r)))
+
+
+def quadratic_form(H, dh, dx) -> float:
+    """u^* H u with u = [dh; dx; conj(dh); conj(dx)].
+
+    Second-order term of the expansion f(z + t d) = f(z) + 2 t Re<g, d>
+    + (t^2/2) u^* H u + O(t^3) along a single-source direction.
+    """
+    u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)])
+    return float(np.real(np.vdot(u, H @ u)))
+
+
 # ------------------------------------------------------- finite differences
 
 
@@ -97,6 +121,29 @@ def fd_real_gradient(fun, state, step: float):
 
 
 # ------------------------------------------------------------ alignment oracle
+
+
+def align_objective(alpha: complex, h, x, h_ref, x_ref) -> float:
+    """g(alpha) = ||h/conj(alpha) - h_ref||^2 + ||alpha x - x_ref||^2."""
+    a = complex(alpha)
+    return float(
+        np.linalg.norm(h / np.conj(a) - h_ref) ** 2 + np.linalg.norm(a * x - x_ref) ** 2
+    )
+
+
+def align_source_unit(h, x, h_ref, x_ref) -> complex:
+    """Phase-only minimizer: alpha with |alpha| = 1.
+
+    Expanding the constrained objective leaves -2 Re(exp(i theta)(p + q))
+    to maximize, with p = h_ref^* h and q = x_ref^* x, so
+    alpha = conj(p + q)/|p + q| (alpha = 1 when p + q = 0).
+    """
+    if np.linalg.norm(h) == 0 or np.linalg.norm(x) == 0:
+        raise ValueError("align_source_unit requires nonzero h and x")
+    w = np.vdot(h_ref, h) + np.vdot(x_ref, x)
+    if abs(w) == 0:
+        return complex(1.0)
+    return complex(np.conj(w) / abs(w))
 
 
 def grid_align(h, x, h_ref, x_ref, rounds: int = 4):

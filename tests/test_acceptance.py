@@ -12,7 +12,7 @@ import pytest
 
 from demix import _rng
 from demix.cli import main as cli_main
-from demix.metrics import align_objective, align_source
+from demix.metrics import align_source
 from demix.objective import gradient_arrays, loss
 from demix.problem import Dimensions, load_instance, make_instance, save_instance, snr_db
 from demix.solver import DivergenceError, SolverConfig, run
@@ -24,7 +24,7 @@ from demix.verify import (
 )
 
 from conftest import FIG1A_SEEDS, random_state
-from oracles import fd_real_gradient, grid_align, iters_to, lsq_slope, r_squared
+from oracles import align_objective, fd_real_gradient, grid_align, iters_to, lsq_slope, r_squared
 
 
 def test_criterion_01_noiseless_runs_converge_linearly_to_1e6(benchmark_runs):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 import demix
 from demix.metrics import (
-    align_objective,
     align_source,
-    align_source_unit,
     align_state,
     aligned_error,
     dist,
@@ -20,7 +18,7 @@ from demix.metrics import (
 from demix.objective import DemixState
 from demix.problem import Dimensions, forward_parts, make_instance, sample_ground_truth
 
-from oracles import grid_align, mp_align
+from oracles import align_objective, align_source_unit, grid_align, mp_align
 
 
 def _pair(gen, K=5, scale_lo=0.5, scale_hi=2.0):

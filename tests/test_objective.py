@@ -8,20 +8,19 @@ from demix.objective import (
     DemixState,
     SizeCapError,
     assemble_source_hessian,
-    clean_loss,
-    clean_residuals,
     gradient_arrays,
     hessian_blocks,
     HessianBlocks,
     leave_one_out_arrays,
     loss,
-    quadratic_form,
     residuals,
 )
 from demix.problem import Dimensions, ProblemInstance, ShapeError, make_instance
 
 from conftest import random_state
 from oracles import (
+    clean_loss,
+    clean_residuals,
     fd_directional,
     fd_real_gradient,
     fd_second_directional,
@@ -29,6 +28,7 @@ from oracles import (
     naive_gradient,
     naive_loss,
     perturbed,
+    quadratic_form,
 )
 
 
