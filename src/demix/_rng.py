@@ -17,20 +17,15 @@ TAG_NOISE = 3
 TAG_AUX = 4
 
 
-def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
-    """Independent Generator keyed by (seed, tag, index).
+def stream(seed: int, tag: int) -> np.random.Generator:
+    """Independent Generator keyed by (seed, tag).
 
-    index packs into the high bits of the key's second word, which keeps
-    per-trial substreams (Monte-Carlo) disjoint from the base streams.
+    Monte-Carlo loops get one seed per trial from derive_seed and key their
+    streams with it.
     """
     if not 0 <= tag < 256:
         raise ValueError(f"stream tag out of range: {tag}")
-    if index < 0:
-        raise ValueError(f"stream index must be nonnegative: {index}")
-    key = np.array(
-        [np.uint64(seed & _MASK64), np.uint64(((index << 8) | tag) & _MASK64)],
-        dtype=np.uint64,
-    )
+    key = np.array([np.uint64(seed & _MASK64), np.uint64(tag)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -47,7 +47,6 @@ class SolverConfig:
     max_iters: int
     stop_tol: float = 0.0  # relative-error stop; 0 disables
     record_every: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not self.eta > 0:
