@@ -25,11 +25,15 @@ class Alignment:
     error: np.ndarray  # (s,) float
 
     def dist(self, d) -> float:
-        """sqrt(sum_i error_i / d_i), summed over sources left to right."""
-        total = 0.0
-        for g, d_i in zip(self.error, d):
-            total += g / d_i
-        return float(np.sqrt(max(total, 0.0)))
+        return dist_from_errors(self.error, d)
+
+
+def dist_from_errors(error, d) -> float:
+    """sqrt(sum_i error_i / d_i), summed over sources left to right."""
+    total = 0.0
+    for g, d_i in zip(error, d):
+        total += g / d_i
+    return float(np.sqrt(max(total, 0.0)))
 
 
 def _rowdot(a, b):

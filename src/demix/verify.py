@@ -337,10 +337,7 @@ def _pair_distance(state: DemixState, ref_h: np.ndarray, ref_x: np.ndarray, d: n
         g[live] = metrics.aligned_error(state.h[live], state.x[live], ref_h[live], ref_x[live])[1]
     for i in np.flatnonzero(~live):
         g[i] = np.linalg.norm(ref_h[i]) ** 2 + np.linalg.norm(ref_x[i]) ** 2
-    total = 0.0
-    for g_i, d_i in zip(g, d):
-        total += g_i / d_i
-    return float(np.sqrt(max(total, 0.0)))
+    return metrics.dist_from_errors(g, d)
 
 
 def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) -> dict:
