@@ -25,6 +25,7 @@ class Alignment:
     error: np.ndarray  # (s,) float
 
     def dist(self, d) -> float:
+        """dist_from_errors of this alignment's errors."""
         return dist_from_errors(self.error, d)
 
 
