@@ -17,11 +17,9 @@ from .metrics import (
 )
 from .objective import (
     DemixState,
-    HessianBlocks,
-    assemble_source_hessian,
-    hessian_blocks,
     loss,
     residuals,
+    source_hessians,
 )
 from .problem import (
     Dimensions,
@@ -59,7 +57,6 @@ __all__ = [
     "Dimensions",
     "DivergenceError",
     "GroundTruth",
-    "HessianBlocks",
     "ProblemInstance",
     "RscReport",
     "SolverConfig",
@@ -67,10 +64,8 @@ __all__ = [
     "align_source",
     "align_state",
     "alignment_ratio_series",
-    "assemble_source_hessian",
     "check_rsc",
     "dist",
-    "hessian_blocks",
     "incoherence_measures",
     "incoherence_mu",
     "leave_one_out_trajectories",
@@ -86,6 +81,7 @@ __all__ = [
     "sample_ground_truth",
     "save_instance",
     "snr_db",
+    "source_hessians",
     "spectral_concentration",
     "spectral_init",
     "synthesize_measurements",

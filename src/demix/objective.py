@@ -1,4 +1,4 @@
-"""Loss, Wirtinger gradients and per-source Wirtinger Hessian blocks.
+"""Loss, Wirtinger gradients and the per-source clean Wirtinger Hessians.
 
 The loss is f(z) = sum_j |sum_i b_j^* h_i x_i^* a_ij - y_j|^2. Gradients
 follow the conjugate-coordinate (df/d z-bar) convention; the gradient of f
@@ -19,6 +19,19 @@ class SizeCapError(ValueError):
     """Dense Hessian assembly refused beyond the small-scale cap."""
 
 
+def _check_dense_cap(s: int, K: int) -> None:
+    if 4 * s * K > 4096:
+        raise SizeCapError(f"4sK = {4 * s * K} exceeds the 4096 dense-Hessian cap")
+
+
+def _wirtinger_block(C1, C2, C3, E1, E2) -> np.ndarray:
+    """One source's 4K x 4K block in the layout source_hessians documents."""
+    Z = np.zeros(C1.shape, dtype=complex)
+    C = np.block([[C1, C2], [C2.conj().T, C3]])
+    E = np.block([[Z, E1], [E2, Z]])
+    return np.block([[C, E], [E.conj().T, np.conj(C)]])
+
+
 @dataclass
 class DemixState:
     """Current iterate: rows of h and x are the s source pairs."""
@@ -34,17 +47,6 @@ class DemixState:
 
     def copy(self) -> "DemixState":
         return DemixState(h=self.h.copy(), x=self.x.copy())
-
-
-@dataclass
-class HessianBlocks:
-    """The five K x K pieces of one source's Wirtinger Hessian."""
-
-    C1: np.ndarray
-    C2: np.ndarray
-    C3: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
 
 
 def _check(state: DemixState, inst: ProblemInstance) -> None:
@@ -99,46 +101,36 @@ def leave_one_out_arrays(state: DemixState, inst: ProblemInstance, l: int):
     return Gh, Gx
 
 
-def hessian_blocks(state: DemixState, inst: ProblemInstance, i: int, clean: bool = True) -> HessianBlocks:
-    """The five blocks of source i's 4K x 4K Wirtinger Hessian.
+def source_hessians(state: DemixState, inst: ProblemInstance) -> np.ndarray:
+    """Clean-data Wirtinger Hessian of each source, stacked as (s, 4K, 4K).
 
+    In the coordinate order (dh_i, dx_i, conj dh_i, conj dx_i), source i's
+    block is the Hermitian [[C, E], [E^*, conj(C)]] with
+    C = [[C1, C2], [C2^*, C3]], E = [[0, E1], [E2, 0]] and
     C1 = sum_j |a_ij^* x_i|^2 b_j b_j^*
-    C2 = sum_j c_j b_j a_ij^*          (c = clean or measured residual)
+    C2 = sum_j c_j b_j a_ij^*   (c = forward map of the state minus the truth's)
     C3 = sum_j |b_j^* h_i|^2 a_ij a_ij^*
     E1 = sum_j (b_j b_j^* h_i)(a_ij a_ij^* x_i)^T   (plain transpose)
     E2 = sum_j (a_ij a_ij^* x_i)(b_j b_j^* h_i)^T
     """
     _check(state, inst)
-    if not 0 <= i < inst.dims.s:
-        raise IndexError(f"source index {i} out of range [0, {inst.dims.s})")
+    s, K = state.h.shape
+    _check_dense_cap(s, K)
+    if inst.truth is None:
+        raise ValueError("the clean Hessian needs the ground truth attached")
     P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
-    if clean:
-        if inst.truth is None:
-            raise ValueError("clean Hessian blocks need the ground truth attached")
-        c = fwd - forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
-    else:
-        c = fwd - inst.y
-    B, Ai = inst.B, inst.A[i]
-    w1 = np.abs(Q[i]) ** 2
-    w3 = np.abs(P[:, i]) ** 2
-    coupl = P[:, i] * np.conj(Q[i])  # (b_j^* h_i)(a_ij^* x_i)
-    C1 = (B * w1[:, None]).T @ np.conj(B)
-    C2 = (B * c[:, None]).T @ np.conj(Ai)
-    C3 = (Ai * w3[:, None]).T @ np.conj(Ai)
-    E1 = (B * coupl[:, None]).T @ Ai
-    E2 = (Ai * coupl[:, None]).T @ B
-    return HessianBlocks(C1=C1, C2=C2, C3=C3, E1=E1, E2=E2)
-
-
-def assemble_source_hessian(blocks: HessianBlocks) -> np.ndarray:
-    """Hermitian [[C, E], [E^*, conj(C)]] with C = [[C1, C2], [C2^*, C3]]."""
-    K = blocks.C1.shape[0]
-    for name in ("C2", "C3", "E1", "E2"):
-        if getattr(blocks, name).shape != (K, K):
-            raise ShapeError(f"block {name} is {getattr(blocks, name).shape}, wanted {(K, K)}")
-    if 4 * K > 4096:
-        raise SizeCapError(f"dense assembly capped at 4K <= 4096, got 4K = {4 * K}")
-    Z = np.zeros((K, K), dtype=complex)
-    C = np.block([[blocks.C1, blocks.C2], [blocks.C2.conj().T, blocks.C3]])
-    E = np.block([[Z, blocks.E1], [blocks.E2, Z]])
-    return np.block([[C, E], [E.conj().T, np.conj(C)]])
+    c = fwd - forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
+    B = inst.B
+    out = np.empty((s, 4 * K, 4 * K), dtype=complex)
+    for i in range(s):
+        Ai = inst.A[i]
+        w1 = np.abs(Q[i]) ** 2
+        w3 = np.abs(P[:, i]) ** 2
+        coupl = P[:, i] * np.conj(Q[i])  # (b_j^* h_i)(a_ij^* x_i)
+        C1 = (B * w1[:, None]).T @ np.conj(B)
+        C2 = (B * c[:, None]).T @ np.conj(Ai)
+        C3 = (Ai * w3[:, None]).T @ np.conj(Ai)
+        E1 = (B * coupl[:, None]).T @ Ai
+        E2 = (Ai * coupl[:, None]).T @ B
+        out[i] = _wirtinger_block(C1, C2, C3, E1, E2)
+    return out

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng, metrics
-from .objective import DemixState, SizeCapError, hessian_blocks, assemble_source_hessian
-from .objective import _gradient_full, leave_one_out_arrays
+from .objective import DemixState, _check_dense_cap, _gradient_full, _wirtinger_block
+from .objective import leave_one_out_arrays, source_hessians
 from .problem import Dimensions, ProblemInstance, make_dft_rows, make_instance, sample_design
 from .problem import sample_ground_truth, synthesize_measurements
 from .solver import SolverConfig, backprojection_matrices, init_from_matrices
@@ -67,22 +67,13 @@ class RscReport:
 def population_hessian(truth) -> np.ndarray:
     """Expected Wirtinger Hessian at the truth, (4sK) x (4sK).
 
-    Block diagonal over sources; each 4K x 4K block, in the coordinate
-    order (dh_i, dx_i, conj dh_i, conj dx_i), is the identity plus
-    h x^T / x h^T off-blocks:
-
-        [ I    0      0     h x^T ]
-        [ 0    I    x h^T     0   ]
-        [ 0  (xh^T)^*  I      0   ]
-        [ (hx^T)^* 0   0      I   ]
-
-    The closed form assumes balanced sources, so ||h_i|| != ||x_i|| is
-    rejected.
+    Block diagonal over sources; source i's 4K x 4K block has the layout of
+    objective.source_hessians with C1 = C3 = I, C2 = 0, E1 = h_i x_i^T and
+    E2 = x_i h_i^T (plain transposes). The closed form assumes balanced
+    sources, so ||h_i|| != ||x_i|| is rejected.
     """
     s, K = truth.h.shape
-    n = 4 * s * K
-    if n > 4096:
-        raise SizeCapError(f"4sK = {n} exceeds the 4096 dense-Hessian cap")
+    _check_dense_cap(s, K)
     hn = np.linalg.norm(truth.h, axis=1)
     xn = np.linalg.norm(truth.x, axis=1)
     if np.any(np.abs(hn - xn) > 1e-9 * np.maximum(1.0, hn)):
@@ -90,19 +81,11 @@ def population_hessian(truth) -> np.ndarray:
             "population_hessian requires ||h_i|| = ||x_i|| per source; "
             f"got ||h|| = {hn}, ||x|| = {xn}"
         )
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(s):
-        h, x = truth.h[i], truth.x[i]
-        blk = np.eye(4 * K, dtype=complex)
-        hx = np.outer(h, x)  # no conjugation: h x^T
-        xh = np.outer(x, h)
-        blk[0:K, 3 * K : 4 * K] = hx
-        blk[K : 2 * K, 2 * K : 3 * K] = xh
-        blk[2 * K : 3 * K, K : 2 * K] = xh.conj().T
-        blk[3 * K : 4 * K, 0:K] = hx.conj().T
-        o = 4 * K * i
-        out[o : o + 4 * K, o : o + 4 * K] = blk
-    return out
+    out = np.zeros((s, 4 * K, s, 4 * K), dtype=complex)
+    I, Z = np.eye(K), np.zeros((K, K))
+    for i, (h, x) in enumerate(zip(truth.h, truth.x)):
+        out[i, :, i] = _wirtinger_block(I, Z, I, np.outer(h, x), np.outer(x, h))
+    return out.reshape(4 * s * K, 4 * s * K)
 
 
 def _sample_near(gen, center, radius, accept):
@@ -149,8 +132,7 @@ def check_rsc(
     if truth is None:
         raise ValueError("check_rsc requires an instance with ground truth")
     s, K = truth.h.shape
-    if 4 * s * K > 4096:
-        raise SizeCapError(f"4sK = {4 * s * K} exceeds the 4096 dense-Hessian cap")
+    _check_dense_cap(s, K)
     if n_points < 1 or n_dirs < 1:
         raise ValueError("n_points and n_dirs must be >= 1")
     m = inst.dims.m
@@ -186,83 +168,53 @@ def check_rsc(
             failures += bad
         return DemixState(h=h, x=x)
 
-    points = [sample_state(rho) for _ in range(n_points)]
+    def in_ball(i, h, x):
+        near = np.linalg.norm(h - truth.h[i]) <= rho and np.linalg.norm(x - truth.x[i]) <= rho
+        return near and accept_h(i)(h) and accept_x(i)(x)
 
-    # admissible directions: per-source differences of aligned in-ball pairs
-    dirs = []
-    for _ in range(n_dirs):
-        u_parts = None
+    def direction():
+        """(u, D): u has (s, 4K) rows (dh, dx, conj dh, conj dx), the
+        per-source difference of an aligned in-ball pair (the second point
+        aligned onto the first) or, once the retry budget is spent, the raw
+        difference of the last pair, so the report stays well formed. D
+        holds the matching diagonal (beta_1, beta_2, beta_1, beta_2)."""
+        nonlocal failures
         for _ in range(_RETRY_LIMIT):
             za = sample_state(0.8 * rho)
             zb = sample_state(0.8 * rho)
-            parts = []
-            ok = True
             alphas = metrics.align_source(zb.h, zb.x, za.h, za.x)
-            for i in range(s):
-                hb = zb.h[i] / np.conj(alphas[i])
-                xb = alphas[i] * zb.x[i]
-                in_ball = (
-                    np.linalg.norm(hb - truth.h[i]) <= rho
-                    and np.linalg.norm(xb - truth.x[i]) <= rho
-                    and accept_h(i)(hb)
-                    and accept_x(i)(xb)
-                )
-                if not in_ball:
-                    ok = False
-                    break
-                dh = za.h[i] - hb
-                dx = za.x[i] - xb
-                parts.append(np.concatenate([dh, dx, np.conj(dh), np.conj(dx)]))
-            if ok and sum(np.vdot(p, p).real for p in parts) > 0:
-                u_parts = parts
+            hb = zb.h / np.conj(alphas)[:, None]
+            xb = alphas[:, None] * zb.x
+            dh, dx = za.h - hb, za.x - xb
+            if all(in_ball(i, hb[i], xb[i]) for i in range(s)) and (
+                np.vdot(dh, dh).real + np.vdot(dx, dx).real > 0
+            ):
                 break
-        if u_parts is None:
-            # retry budget exhausted: fall back to the raw (unaligned)
-            # difference of the last pair so the report stays well formed
+        else:
             failures += 1
-            u_parts = [
-                np.concatenate(
-                    [
-                        za.h[i] - zb.h[i],
-                        za.x[i] - zb.x[i],
-                        np.conj(za.h[i] - zb.h[i]),
-                        np.conj(za.x[i] - zb.x[i]),
-                    ]
-                )
-                for i in range(s)
-            ]
-        lo = max(1.0 / kappa - rho, 1e-3 / kappa)
-        hi = 1.0 / kappa + rho
+            dh, dx = za.h - zb.h, za.x - zb.x
+        u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)], axis=1)
         betas = lo + (hi - lo) * gen.random((s, 2))
-        dirs.append((u_parts, betas))
+        return u, np.repeat(betas[:, [0, 1, 0, 1]], K, axis=1)
+
+    lo = max(1.0 / kappa - rho, 1e-3 / kappa)
+    hi = 1.0 / kappa + rho
+    points = [sample_state(rho) for _ in range(n_points)]
+    dirs = [direction() for _ in range(n_dirs)]
 
     min_ratio = math.inf
     smooth_max = 0.0
     for z in points:
-        Hs = [
-            assemble_source_hessian(hessian_blocks(z, inst, i, clean=True))
-            for i in range(s)
-        ]
-        for Hi in Hs:
-            smooth_max = max(smooth_max, float(np.max(np.abs(np.linalg.eigvalsh(Hi)))))
-        for u_parts, betas in dirs:
-            num = 0.0
-            den = 0.0
-            for i in range(s):
-                u = u_parts[i]
-                dvec = np.concatenate(
-                    [
-                        np.full(K, betas[i, 0]),
-                        np.full(K, betas[i, 1]),
-                        np.full(K, betas[i, 0]),
-                        np.full(K, betas[i, 1]),
-                    ]
-                )
-                num += 2.0 * float(np.real(np.vdot(dvec * u, Hs[i] @ u)))
-                den += float(np.real(np.vdot(u, u)))
+        Hs = source_hessians(z, inst)
+        smooth_max = max(smooth_max, float(np.max(np.abs(np.linalg.eigvalsh(Hs)))))
+        for u, D in dirs:
+            num = den = 0.0
+            for Hi, ui, di in zip(Hs, u, D):
+                num += 2.0 * float(np.real(np.vdot(di * ui, Hi @ ui)))
+                den += float(np.real(np.vdot(ui, ui)))
             min_ratio = min(min_ratio, num / den)
 
-    report = RscReport(
+    return RscReport(
         samples_tested=n_points * n_dirs,
         min_quadratic_ratio=float(min_ratio),
         smoothness_max=smooth_max,
@@ -273,7 +225,6 @@ def check_rsc(
         delta=float(delta),
         notes=[NOISE_MODEL_NOTE],
     )
-    return report
 
 
 def spectral_concentration(dims: Dimensions, sigma: float, n_trials: int, rng_seed: int) -> dict:

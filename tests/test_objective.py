@@ -1,4 +1,4 @@
-"""Loss, gradients, leave-one-out deltas, per-source Hessian blocks."""
+"""Loss, gradients, leave-one-out deltas, per-source clean Hessians."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ import demix
 from demix.objective import (
     DemixState,
     SizeCapError,
-    assemble_source_hessian,
     gradient_arrays,
-    hessian_blocks,
-    HessianBlocks,
     leave_one_out_arrays,
     loss,
     residuals,
+    source_hessians,
 )
 from demix.problem import Dimensions, ProblemInstance, ShapeError, make_instance
 
@@ -214,40 +212,37 @@ def test_loo_index_bounds(small_instance):
 def test_hessian_hermitian(small_instance):
     gen = np.random.default_rng(17)
     st = random_state(small_instance.dims, gen)
-    for i in range(small_instance.dims.s):
-        for clean in (True, False):
-            H = assemble_source_hessian(hessian_blocks(st, small_instance, i, clean=clean))
-            assert np.max(np.abs(H - H.conj().T)) <= 1e-12 * max(1.0, np.abs(H).max())
+    for H in source_hessians(st, small_instance):
+        assert np.max(np.abs(H - H.conj().T)) <= 1e-12 * max(1.0, np.abs(H).max())
 
 
 def test_hessian_clean_coupling_vanishes_at_truth(small_instance):
     inst = small_instance
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
-    for i in range(inst.dims.s):
-        blocks = hessian_blocks(st, inst, i, clean=True)
-        assert np.all(blocks.C2 == 0)
+    K = inst.dims.K
+    for H in source_hessians(st, inst):
+        assert np.all(H[:K, K : 2 * K] == 0)  # C2
 
 
 def test_hessian_quadratic_form_matches_second_differences():
     gen = np.random.default_rng(23)
     inst = make_instance(Dimensions(s=2, m=16, K=3), kappa=1.0, sigma=0.1, seed=77)
     st = random_state(inst.dims, gen)
+    Hs = source_hessians(st, inst)
     for i in range(inst.dims.s):
         dh1 = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         dx1 = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         dh = np.zeros_like(st.h)
         dx = np.zeros_like(st.x)
         dh[i], dx[i] = dh1, dx1
-        for clean in (True, False):
-            fun = (lambda s_: clean_loss(s_, inst)) if clean else (lambda s_: loss(s_, inst))
-            H = assemble_source_hessian(hessian_blocks(st, inst, i, clean=clean))
-            qf = quadratic_form(H, dh1, dx1)
-            fd = fd_second_directional(fun, st, dh, dx, 1e-4)
-            assert fd == pytest.approx(qf, rel=1e-5)
+        qf = quadratic_form(Hs[i], dh1, dx1)
+        fd = fd_second_directional(lambda s_: clean_loss(s_, inst), st, dh, dx, 1e-4)
+        assert fd == pytest.approx(qf, rel=1e-5)
 
 
 def test_quadratic_expansion_cubic_remainder():
-    # f(z + t d) - f(z) - 2 t Re<g, d> - (t^2/2) u^* H u must shrink like t^3
+    # f(z + t d) - f(z) - 2 t Re<g, d> - (t^2/2) u^* H u must shrink like t^3;
+    # at sigma = 0 the clean Hessian is the Hessian of the loss
     gen = np.random.default_rng(29)
     inst = make_instance(Dimensions(s=1, m=10, K=2), kappa=1.0, sigma=0.0, seed=5)
     st = random_state(inst.dims, gen)
@@ -255,7 +250,7 @@ def test_quadratic_expansion_cubic_remainder():
     dx = gen.standard_normal((1, 2)) + 1j * gen.standard_normal((1, 2))
     Gh, Gx = gradient_arrays(st, inst)
     lin = 2.0 * float(np.real(np.vdot(Gh, dh) + np.vdot(Gx, dx)))
-    H = assemble_source_hessian(hessian_blocks(st, inst, 0, clean=False))
+    H = source_hessians(st, inst)[0]
     quad = 0.5 * quadratic_form(H, dh[0], dx[0])
     f0 = loss(st, inst)
     ts = np.logspace(-3, -1.5, 6)
@@ -267,22 +262,14 @@ def test_quadratic_expansion_cubic_remainder():
     assert slope >= 2.7
 
 
-def test_hessian_source_index_bounds(small_instance):
-    gen = np.random.default_rng(2)
-    st = random_state(small_instance.dims, gen)
-    with pytest.raises(IndexError):
-        hessian_blocks(st, small_instance, small_instance.dims.s)
-
-
-def test_assemble_size_cap():
-    K = 1025
-    Z = np.zeros((K, K), dtype=complex)
-    with pytest.raises(SizeCapError):
-        assemble_source_hessian(HessianBlocks(C1=Z, C2=Z, C3=Z, E1=Z, E2=Z))
-
-
-def test_assemble_rejects_mixed_shapes():
-    Z3 = np.zeros((3, 3), dtype=complex)
-    Z2 = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(ShapeError):
-        assemble_source_hessian(HessianBlocks(C1=Z3, C2=Z3, C3=Z2, E1=Z3, E2=Z3))
+def test_source_hessians_size_cap():
+    # 4sK = 4104 is over the 4096 dense-Hessian cap
+    s, m, K = 2, 513, 513
+    inst = ProblemInstance(
+        dims=Dimensions(s=s, m=m, K=K), A=np.zeros((s, m, K), dtype=complex),
+        B=np.zeros((m, K), dtype=complex), y=np.zeros(m, dtype=complex),
+        e=np.zeros(0, dtype=complex), sigma=0.0, seed=0,
+    )
+    st = DemixState(h=np.ones((s, K)), x=np.ones((s, K)))
+    with pytest.raises(SizeCapError, match="4sK = 4104 exceeds the 4096 dense-Hessian cap"):
+        source_hessians(st, inst)

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from demix import _rng
-from demix.objective import DemixState, SizeCapError, assemble_source_hessian, hessian_blocks
+from demix import _rng, verify
+from demix.objective import DemixState, SizeCapError, source_hessians
 from demix.problem import (
     Dimensions,
     GroundTruth,
@@ -114,7 +114,7 @@ def test_population_hessian_matches_design_average():
         A = sample_design(dims, sk)
         y, e = synthesize_measurements(truth, A, B, 0.0, sk)
         inst = ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=0.0, seed=sk, truth=truth)
-        Hs[t] = assemble_source_hessian(hessian_blocks(state, inst, 0, clean=True))
+        Hs[t] = source_hessians(state, inst)[0]
     pop = population_hessian(truth)
     mean = Hs.mean(axis=0)
     se_re = Hs.real.std(axis=0, ddof=1) / np.sqrt(n_trials)
@@ -148,6 +148,17 @@ def test_check_rsc_small_instance():
     assert rep.min_quadratic_ratio >= 0.25  # 1/(4 kappa) at kappa = 1
     assert rep.smoothness_max <= 3.0  # 2 + s
     assert NOISE_MODEL_NOTE in rep.notes
+
+
+def test_check_rsc_falls_back_when_retries_run_out(monkeypatch):
+    # a tight side condition (c_a = 0.05) spends the 3 retries, so the
+    # directions fall back to the raw difference of the last pair
+    monkeypatch.setattr(verify, "_RETRY_LIMIT", 3)
+    inst = make_instance(Dimensions(s=2, m=200, K=4), seed=2)
+    rep = check_rsc(inst, 2, 3, 0.3, 5, c_a=0.05)
+    assert rep.sampling_failures > 0
+    assert rep.samples_tested == 6
+    assert np.isfinite(rep.min_quadratic_ratio)
 
 
 def test_check_rsc_input_validation(small_instance):
