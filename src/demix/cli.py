@@ -11,13 +11,10 @@ still run), or on I/O trouble; 2 usage.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,8 +30,8 @@ CSV_HEADER = "iter,loss,relative_error,dist,inc_a,inc_b,max_alignment_ratio,erro
 SUMMARY_HEADER = "K,s,m,eta,kappa,sigma,seed,snr_db,final_relative_error,iters"
 
 # Numeric config keys: key -> (type, lower bound, bound excluded). Absent keys
-# take the ExperimentConfig defaults; _EXTRAS go to the verification checks,
-# which hold their defaults.
+# take the ExperimentConfig or SolverConfig defaults; _SOLVER_KEYS go to the
+# SolverConfig, _EXTRAS to the verification checks, which hold their defaults.
 _NUMBERS = {
     "eta": (float, 0.0, True),
     "kappa": (float, 1.0, False),
@@ -53,6 +50,7 @@ _NUMBERS = {
     "loo_factor": (float, 0.0, True),
 }
 _LISTS = ("kappa", "sigma", "seeds", "m_sweep", "l_set")
+_SOLVER_KEYS = ("eta", "max_iters", "stop_tol", "record_every")
 _EXTRAS = {key for experiment in VERIFY_EXPERIMENTS for key in verify.check_extras(experiment)}
 _ALLOWED_KEYS = {"schema_version", "experiment", "dims", "output_dir", *_NUMBERS}
 
@@ -65,14 +63,11 @@ class UsageError(ValueError):
 class ExperimentConfig:
     experiment: str
     dims: list[Dimensions]
-    eta: float = 0.1
+    solver: SolverConfig
     kappa: list[float] = field(default_factory=lambda: [1.0])
     sigma: list[float] = field(default_factory=lambda: [0.0])
-    max_iters: int = 500
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "out"
-    stop_tol: float = 0.0
-    record_every: int = 1
     extras: dict = field(default_factory=dict)
 
 
@@ -146,6 +141,7 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
             values[key] = _number(key, raw[key], *spec)
     if seed_override is not None:
         values["seeds"] = [int(seed_override)]
+    solver = SolverConfig(**{key: values.pop(key) for key in _SOLVER_KEYS if key in values})
     extras = {key: values.pop(key) for key in _EXTRAS if key in values}
     reads = verify.check_extras(experiment) if experiment in VERIFY_EXPERIMENTS else {}
     unread = sorted(set(extras) - set(reads))
@@ -161,6 +157,7 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     return ExperimentConfig(
         experiment=experiment,
         dims=dims,
+        solver=solver,
         output_dir=str(out_override if out_override is not None else raw.get("output_dir", "out")),
         extras=extras,
         **values,
@@ -171,26 +168,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _workers() -> int:
-    raw = os.environ.get("DEMIX_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise UsageError(f"DEMIX_THREADS must be an integer, got {raw!r}") from None
-    if w < 0:
-        raise UsageError(f"DEMIX_THREADS must be >= 0, got {w}")
-    return (os.cpu_count() or 1) if w == 0 else w
-
-
-def _run_jobs(job, settings) -> list:
-    """job(*setting) for each setting, on DEMIX_THREADS threads."""
-    w = _workers()
-    if w == 1 or len(settings) <= 1:
-        return [job(*setting) for setting in settings]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(lambda setting: job(*setting), settings))
 
 
 def _finish(results) -> int:
@@ -245,15 +222,9 @@ def _scalar_setting(cfg: ExperimentConfig, command: str):
     return cfg.dims[0], cfg.kappa[0], cfg.sigma[0]
 
 
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(
-        eta=cfg.eta, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol, record_every=cfg.record_every
-    )
-
-
 def _solve_all(cfg: ExperimentConfig) -> list:
-    job = functools.partial(_solve_job, _solver_config(cfg), _outdir(cfg))
-    return _run_jobs(job, _combos(cfg))
+    outdir = _outdir(cfg)
+    return [_solve_job(cfg.solver, outdir, *combo) for combo in _combos(cfg)]
 
 
 def _solve_job(scfg: SolverConfig, outdir: Path, dims, kappa, sigma, seed) -> dict:
@@ -308,7 +279,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                     str(dims.K),
                     str(dims.s),
                     str(dims.m),
-                    repr(float(cfg.eta)),
+                    repr(float(cfg.solver.eta)),
                     repr(float(res["kappa"])),
                     repr(float(res["sigma"])),
                     str(res["seed"]),
@@ -330,20 +301,19 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     if cfg.experiment not in VERIFY_EXPERIMENTS:
         raise UsageError(f"verify needs one of {VERIFY_EXPERIMENTS}, got {cfg.experiment!r}")
     setting = _scalar_setting(cfg, "verify")
-    scfg = _solver_config(cfg)
     outdir = _outdir(cfg)
 
     def job(seed):
         path = outdir / f"report_{cfg.experiment}_seed{seed}.json"
         try:
-            report = verify.run_check(cfg.experiment, *setting, scfg, seed, **cfg.extras)
+            report = verify.run_check(cfg.experiment, *setting, cfg.solver, seed, **cfg.extras)
         except (DegenerateIterateError, ValueError) as ex:
             return {"ok": False, "path": path, "seed": seed, "status": None, "error": str(ex)}
         verify.write_report(report, path)
         ok = report["pass"]
         return {"ok": ok, "path": path, "seed": seed, "status": f"pass={ok}", "error": None}
 
-    return _finish(_run_jobs(job, [(seed,) for seed in cfg.seeds]))
+    return _finish([job(seed) for seed in cfg.seeds])
 
 
 _DISPATCH = {

@@ -43,8 +43,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    eta: float
-    max_iters: int
+    eta: float = 0.1
+    max_iters: int = 500
     stop_tol: float = 0.0  # relative-error stop; 0 disables
     record_every: int = 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .solver import SolverConfig, backprojection_matrices, init_from_matrices
 from .solver import run, step_arrays
 
 _RETRY_LIMIT = 10_000
+# Constants of check_rsc's incoherence side conditions.
+_C_A = 6.0
+_C_B = 1.0
 
 # Surfaced in every report: the synthetic noise is Gaussian, while parts of
 # the supporting analysis assume a deterministic per-entry noise bound of
@@ -42,9 +45,12 @@ class RscReport:
 
     min_quadratic_ratio is the minimum over samples of
     u^*[D H + H D]u / ||u||^2 with H the clean Hessian at a sampled point;
-    smoothness_max is the largest sampled operator norm of H. The field is
-    named `passed` because `pass` is reserved in Python; serialized reports
-    use the key "pass".
+    smoothness_max is the largest sampled operator norm of H.
+    sampling_failures adds up two events: a point draw whose retry budget
+    ran out (the last draw is kept), and a direction that fell back to the
+    raw, unaligned difference of its last pair. The field is named
+    `passed` because `pass` is reserved in Python; serialized reports use
+    the key "pass".
     """
 
     samples_tested: int
@@ -55,7 +61,6 @@ class RscReport:
     passed: bool
     sampling_failures: int = 0
     delta: float = 0.0
-    notes: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.samples_tested < 1:
@@ -114,8 +119,6 @@ def check_rsc(
     n_dirs: int,
     delta: float,
     rng_seed: int,
-    c_a: float = 6.0,
-    c_b: float = 1.0,
 ) -> RscReport:
     """Sample the clean-Hessian quadratic form over the contraction region.
 
@@ -123,10 +126,11 @@ def check_rsc(
     sqrt(s)) around the truth and rejected until both incoherence side
     conditions hold: max_j |a_ij^*(x_i - x'_i)| <= 2 c_a ||x'_i|| /
     (sqrt(s) log^{3/2} m) and max_j |b_j^* h_i| <= 2 c_b mu log^2(m)
-    ||h'_i|| / sqrt(m). Directions u stack per-source differences of an
-    aligned pair of such points (the second point aligned onto the first),
-    and D carries per-source scalars beta_{i1}, beta_{i2} drawn uniformly
-    within delta/(kappa sqrt(s)) of 1/kappa.
+    ||h'_i|| / sqrt(m), with c_a = _C_A and c_b = _C_B. Directions u
+    stack per-source differences of an aligned pair of such points (the
+    second point aligned onto the first), and D carries per-source scalars
+    beta_{i1}, beta_{i2} drawn uniformly within delta/(kappa sqrt(s)) of
+    1/kappa.
     """
     truth = inst.truth
     if truth is None:
@@ -139,8 +143,8 @@ def check_rsc(
     kappa = truth.kappa
     mu = truth.mu if truth.mu is not None else metrics.incoherence_mu(truth, inst.B)
     rho = delta / (kappa * math.sqrt(s))
-    ta = 2.0 * c_a / (math.sqrt(s) * math.log(m) ** 1.5)
-    tb = 2.0 * c_b * mu * math.log(m) ** 2 / math.sqrt(m)
+    ta = 2.0 * _C_A / (math.sqrt(s) * math.log(m) ** 1.5)
+    tb = 2.0 * _C_B * mu * math.log(m) ** 2 / math.sqrt(m)
     gen = _rng.stream(rng_seed, _rng.TAG_AUX)
     Bc = np.conj(inst.B)
     hn = np.linalg.norm(truth.h, axis=1)
@@ -223,7 +227,6 @@ def check_rsc(
         passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth_max <= 2.0 + s),
         sampling_failures=failures,
         delta=float(delta),
-        notes=[NOISE_MODEL_NOTE],
     )
 
 
@@ -270,7 +273,6 @@ def spectral_concentration(dims: Dimensions, sigma: float, n_trials: int, rng_se
         "se_im": se_im,
         "expected": expected,
         "truth": truth,
-        "notes": [NOISE_MODEL_NOTE],
     }
 
 
@@ -349,7 +351,6 @@ def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) 
         "dist_initial": float(dist_truth[0]),
         "l_set": l_set,
         "degenerate": degenerate,
-        "notes": [NOISE_MODEL_NOTE],
     }
 
 
@@ -411,18 +412,15 @@ def _jsonable(v):
     return str(v)
 
 
-def make_report(check: str, params: dict, seed: int, metrics_out: dict, passed: bool, notes=()) -> dict:
-    """Normalized report dict; the advisory noise-model note always rides along."""
-    all_notes = list(notes)
-    if NOISE_MODEL_NOTE not in all_notes:
-        all_notes.append(NOISE_MODEL_NOTE)
+def make_report(check: str, params: dict, seed: int, metrics_out: dict, passed: bool) -> dict:
+    """Normalized report dict; its one note is the advisory noise-model note."""
     return {
         "check": check,
         "params": _jsonable(params),
         "seed": int(seed),
         "metrics": _jsonable(metrics_out),
         "pass": bool(passed),
-        "notes": all_notes,
+        "notes": [NOISE_MODEL_NOTE],
     }
 
 
@@ -438,8 +436,8 @@ def _rsc(dims, kappa, sigma, scfg, seed, *, n_points=50, n_dirs=20, delta=0.1):
     rep = check_rsc(inst, n_points=n_points, n_dirs=n_dirs, delta=delta, rng_seed=seed)
     params = {"dims": dims, "kappa": kappa, "sigma": sigma, "delta": rep.delta}
     fields = dataclasses.asdict(rep)
-    metrics_out = {k: v for k, v in fields.items() if k not in ("passed", "delta", "notes")}
-    return params, metrics_out, rep.passed, rep.notes
+    metrics_out = {k: v for k, v in fields.items() if k not in ("passed", "delta")}
+    return params, metrics_out, rep.passed
 
 
 def _loo(dims, kappa, sigma, scfg, seed, *, l_set=(), n_holdout=8, loo_factor=0.1):
@@ -459,7 +457,7 @@ def _loo(dims, kappa, sigma, scfg, seed, *, l_set=(), n_holdout=8, loo_factor=0.
               "max_iters": scfg.max_iters, "l_set": l_set, "loo_factor": loo_factor}
     metrics_out = {"series": res["series"], "dist_initial": res["dist_initial"],
                    "max_proximity": max_proximity, "degenerate": res["degenerate"]}
-    return params, metrics_out, passed, res["notes"]
+    return params, metrics_out, passed
 
 
 def _spectral(dims, kappa, sigma, scfg, seed, *, m_sweep=(400, 1600, 6400), n_trials=200):
@@ -476,12 +474,12 @@ def _spectral(dims, kappa, sigma, scfg, seed, *, m_sweep=(400, 1600, 6400), n_tr
     passed = all(b < a for a, b in zip(means, means[1:]))
     params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "sigma": sigma,
               "n_trials": n_trials}
-    return params, {"table": table}, passed, ()
+    return params, {"table": table}, passed
 
 
 # verify_* experiment -> (report name, check). A check takes the scalar setting
 # (dims, kappa, sigma, solver config) and the seed, and returns the report's
-# params, metrics, pass flag and notes. Its keyword-only parameters are the
+# params, metrics and pass flag. Its keyword-only parameters are the
 # config extras the experiment reads, and their defaults are the extras'
 # defaults.
 CHECKS = {
@@ -499,5 +497,5 @@ def check_extras(experiment: str) -> dict:
 def run_check(experiment: str, dims, kappa, sigma, scfg, seed: int, **extras) -> dict:
     """The report of a verify_* experiment at one scalar setting and seed."""
     name, check = CHECKS[experiment]
-    params, metrics_out, passed, notes = check(dims, kappa, sigma, scfg, seed, **extras)
-    return make_report(name, params, seed, metrics_out, passed, notes)
+    params, metrics_out, passed = check(dims, kappa, sigma, scfg, seed, **extras)
+    return make_report(name, params, seed, metrics_out, passed)

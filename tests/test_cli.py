@@ -148,26 +148,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
 
-def test_thread_pool_matches_serial_output(tmp_path, monkeypatch):
-    kw = dict(seeds=[1, 2, 3], max_iters=30)
-    serial = write_config(tmp_path, name="s.json", output_dir=str(tmp_path / "ser"), **kw)
-    threaded = write_config(tmp_path, name="t.json", output_dir=str(tmp_path / "thr"), **kw)
-    monkeypatch.delenv("DEMIX_THREADS", raising=False)
-    assert main(["run", "--config", str(serial)]) == 0
-    monkeypatch.setenv("DEMIX_THREADS", "4")
-    assert main(["run", "--config", str(threaded)]) == 0
-    for seed in (1, 2, 3):
-        name = f"trajectory_K4_s1_m64_kappa1_sigma0_seed{seed}.csv"
-        assert (tmp_path / "ser" / name).read_bytes() == (tmp_path / "thr" / name).read_bytes()
-
-
-def test_bad_thread_env_is_usage_error(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("DEMIX_THREADS", "many")
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert "DEMIX_THREADS" in capsys.readouterr().err
-
-
 # ------------------------------------------------------------ usage errors
 
 
@@ -285,7 +265,6 @@ def test_sweep_writes_summary(tmp_path):
 
 
 def test_sweep_finishes_after_a_failing_seed(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("DEMIX_THREADS", raising=False)
     clean = write_config(tmp_path, name="clean.json", seeds=[1, 2], max_iters=30,
                          output_dir=str(tmp_path / "clean"))
     assert main(["sweep", "--config", str(clean)]) == 0
@@ -316,6 +295,21 @@ def test_sweep_finishes_after_a_failing_seed(tmp_path, monkeypatch, capsys):
     assert len(summary) == 3 and summary[1].split(",")[6] == "1" and summary[1].endswith(",,")
     clean_summary = (ref / "summary_convergence.csv").read_text(encoding="utf-8").splitlines()
     assert summary[2] == clean_summary[2]
+
+
+def test_solver_keys_default_when_absent(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "experiment": "convergence", "dims": {"s": 1, "m": 64, "K": 4},
+        "seeds": [3], "output_dir": str(tmp_path / "out"),
+    }), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    summary = (tmp_path / "out" / "summary_convergence.csv").read_text(encoding="utf-8")
+    row = summary.splitlines()[1].split(",")
+    assert row[3] == "0.1" and row[9] == "500"  # eta and max_iters defaults
+    trajectory = tmp_path / "out" / "trajectory_K4_s1_m64_kappa1_sigma0_seed3.csv"
+    # header plus iterations 0..500, every one recorded
+    assert len(trajectory.read_text(encoding="utf-8").splitlines()) == 502
 
 
 # ---------------------------------------------------------------- verify

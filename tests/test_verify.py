@@ -147,15 +147,15 @@ def test_check_rsc_small_instance():
     assert rep.passed is True
     assert rep.min_quadratic_ratio >= 0.25  # 1/(4 kappa) at kappa = 1
     assert rep.smoothness_max <= 3.0  # 2 + s
-    assert NOISE_MODEL_NOTE in rep.notes
 
 
 def test_check_rsc_falls_back_when_retries_run_out(monkeypatch):
     # a tight side condition (c_a = 0.05) spends the 3 retries, so the
     # directions fall back to the raw difference of the last pair
     monkeypatch.setattr(verify, "_RETRY_LIMIT", 3)
+    monkeypatch.setattr(verify, "_C_A", 0.05)
     inst = make_instance(Dimensions(s=2, m=200, K=4), seed=2)
-    rep = check_rsc(inst, 2, 3, 0.3, 5, c_a=0.05)
+    rep = check_rsc(inst, 2, 3, 0.3, 5)
     assert rep.sampling_failures > 0
     assert rep.samples_tested == 6
     assert np.isfinite(rep.min_quadratic_ratio)
@@ -182,7 +182,6 @@ def test_spectral_concentration_smoke():
     # the trial mean of each back-projection matches its rank-one target
     se = 5 * np.maximum(out["se_re"], out["se_im"]) + 1e-12
     assert np.all(np.abs(out["mean_M"] - out["expected"]) <= se)
-    assert NOISE_MODEL_NOTE in out["notes"]
 
 
 def test_spectral_concentration_rejects_empty():
@@ -211,7 +210,7 @@ def test_leave_one_out_trajectories_report():
     out = leave_one_out_trajectories(inst, SolverConfig(eta=0.1, max_iters=5), [0, 7])
     assert sorted(out.keys()) == [
         "degenerate", "dist_initial", "dist_truth", "iters",
-        "l_set", "notes", "per_l", "series",
+        "l_set", "per_l", "series",
     ]
     assert np.array_equal(out["iters"], np.arange(6))
     assert out["per_l"].shape == (6, 2)
@@ -220,7 +219,6 @@ def test_leave_one_out_trajectories_report():
     assert out["dist_initial"] == out["dist_truth"][0]
     assert out["l_set"] == [0, 7]
     assert out["degenerate"] is False
-    assert NOISE_MODEL_NOTE in out["notes"]
 
 
 def test_leave_one_out_validation(small_instance):
@@ -299,10 +297,7 @@ def test_make_report_fields_and_note():
     assert rep["params"]["z"] == {"re": 1.5, "im": 0.5}
     assert rep["metrics"]["ratio"] == 0.4
     assert rep["metrics"]["flag"] is True
-    assert NOISE_MODEL_NOTE in rep["notes"]
-    # the advisory note is not duplicated when the caller already added it
-    rep2 = make_report("c", {}, 0, {}, False, notes=[NOISE_MODEL_NOTE])
-    assert rep2["notes"].count(NOISE_MODEL_NOTE) == 1
+    assert rep["notes"] == [NOISE_MODEL_NOTE]
 
 
 def test_write_report_sorted_json_with_newline(tmp_path):
