@@ -44,10 +44,8 @@ from .solver import (
 )
 from .verify import (
     RscReport,
-    alignment_ratio_series,
     check_rsc,
     leave_one_out_trajectories,
-    population_hessian,
     spectral_concentration,
 )
 
@@ -63,7 +61,6 @@ __all__ = [
     "TrajectoryRecord",
     "align_source",
     "align_state",
-    "alignment_ratio_series",
     "check_rsc",
     "dist",
     "incoherence_measures",
@@ -73,7 +70,6 @@ __all__ = [
     "loss",
     "make_dft_rows",
     "make_instance",
-    "population_hessian",
     "relative_error",
     "residuals",
     "run",

@@ -24,14 +24,6 @@ def _check_dense_cap(s: int, K: int) -> None:
         raise SizeCapError(f"4sK = {4 * s * K} exceeds the 4096 dense-Hessian cap")
 
 
-def _wirtinger_block(C1, C2, C3, E1, E2) -> np.ndarray:
-    """One source's 4K x 4K block in the layout source_hessians documents."""
-    Z = np.zeros(C1.shape, dtype=complex)
-    C = np.block([[C1, C2], [C2.conj().T, C3]])
-    E = np.block([[Z, E1], [E2, Z]])
-    return np.block([[C, E], [E.conj().T, np.conj(C)]])
-
-
 @dataclass
 class DemixState:
     """Current iterate: rows of h and x are the s source pairs."""
@@ -121,6 +113,7 @@ def source_hessians(state: DemixState, inst: ProblemInstance) -> np.ndarray:
     P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
     c = fwd - forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
     B = inst.B
+    Z = np.zeros((K, K), dtype=complex)
     out = np.empty((s, 4 * K, 4 * K), dtype=complex)
     for i in range(s):
         Ai = inst.A[i]
@@ -132,5 +125,7 @@ def source_hessians(state: DemixState, inst: ProblemInstance) -> np.ndarray:
         C3 = (Ai * w3[:, None]).T @ np.conj(Ai)
         E1 = (B * coupl[:, None]).T @ Ai
         E2 = (Ai * coupl[:, None]).T @ B
-        out[i] = _wirtinger_block(C1, C2, C3, E1, E2)
+        C = np.block([[C1, C2], [C2.conj().T, C3]])
+        E = np.block([[Z, E1], [E2, Z]])
+        out[i] = np.block([[C, E], [E.conj().T, np.conj(C)]])
     return out

@@ -176,11 +176,6 @@ def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
     return P, Q, fwd
 
 
-def bilinear_forward(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The measurement map sum_i b_j^* h_i x_i^* a_ij, vectorized over j."""
-    return forward_parts(H, X, A, B)[2]
-
-
 def synthesize_measurements(
     truth: GroundTruth, A: np.ndarray, B: np.ndarray, sigma: float, rng_seed: int
 ):
@@ -198,7 +193,7 @@ def synthesize_measurements(
         raise ShapeError(f"A and B disagree on m: {A.shape[1]} vs {m}")
     if truth.h.shape[1] != B.shape[1]:
         raise ShapeError(f"truth K {truth.h.shape[1]} != B K {B.shape[1]}")
-    fwd = bilinear_forward(truth.h, truth.x, A, B)
+    fwd = forward_parts(truth.h, truth.x, A, B)[2]
     if sigma == 0:
         return fwd.copy(), np.zeros(0, dtype=complex)
     gen = _rng.stream(rng_seed, _rng.TAG_NOISE)

@@ -1,10 +1,10 @@
 """Desk-scale empirical checks of the geometry the solver relies on.
 
-Covers: the closed-form population Hessian at the truth, sampled restricted
-strong convexity/smoothness of the clean Hessian near the truth, spectral
-concentration of the back-projection matrices, leave-one-out trajectory
-proximity, and contraction of the per-source alignment parameters.
-CHECKS is the table of verify_* experiments that `demix verify` runs.
+Covers: sampled restricted strong convexity/smoothness of the clean Hessian
+near the truth, spectral concentration of the back-projection matrices
+around a truth drawn at the configured kappa, and leave-one-out trajectory
+proximity. CHECKS is the table of verify_* experiments that `demix verify`
+runs.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng, metrics
-from .objective import DemixState, _check_dense_cap, _gradient_full, _wirtinger_block
+from .objective import DemixState, _check_dense_cap, _gradient_full
 from .objective import leave_one_out_arrays, source_hessians
 from .problem import Dimensions, ProblemInstance, make_dft_rows, make_instance, sample_design
 from .problem import sample_ground_truth, synthesize_measurements
-from .solver import SolverConfig, backprojection_matrices, init_from_matrices
-from .solver import run, step_arrays
+from .solver import SolverConfig, backprojection_matrices, init_from_matrices, step_arrays
 
 _RETRY_LIMIT = 10_000
 # Constants of check_rsc's incoherence side conditions.
@@ -67,30 +66,6 @@ class RscReport:
             raise ValueError("samples_tested must be >= 1")
         if not np.isfinite(self.min_quadratic_ratio):
             raise ValueError("min_quadratic_ratio must be finite")
-
-
-def population_hessian(truth) -> np.ndarray:
-    """Expected Wirtinger Hessian at the truth, (4sK) x (4sK).
-
-    Block diagonal over sources; source i's 4K x 4K block has the layout of
-    objective.source_hessians with C1 = C3 = I, C2 = 0, E1 = h_i x_i^T and
-    E2 = x_i h_i^T (plain transposes). The closed form assumes balanced
-    sources, so ||h_i|| != ||x_i|| is rejected.
-    """
-    s, K = truth.h.shape
-    _check_dense_cap(s, K)
-    hn = np.linalg.norm(truth.h, axis=1)
-    xn = np.linalg.norm(truth.x, axis=1)
-    if np.any(np.abs(hn - xn) > 1e-9 * np.maximum(1.0, hn)):
-        raise ValueError(
-            "population_hessian requires ||h_i|| = ||x_i|| per source; "
-            f"got ||h|| = {hn}, ||x|| = {xn}"
-        )
-    out = np.zeros((s, 4 * K, s, 4 * K), dtype=complex)
-    I, Z = np.eye(K), np.zeros((K, K))
-    for i, (h, x) in enumerate(zip(truth.h, truth.x)):
-        out[i, :, i] = _wirtinger_block(I, Z, I, np.outer(h, x), np.outer(x, h))
-    return out.reshape(4 * s * K, 4 * s * K)
 
 
 def _sample_near(gen, center, radius, accept):
@@ -230,17 +205,19 @@ def check_rsc(
     )
 
 
-def spectral_concentration(dims: Dimensions, sigma: float, n_trials: int, rng_seed: int) -> dict:
+def spectral_concentration(
+    dims: Dimensions, sigma: float, n_trials: int, rng_seed: int, kappa: float = 1.0
+) -> dict:
     """Monte-Carlo spread of the back-projections around h'_i x'_i^*.
 
-    Truth is fixed from rng_seed; each trial redraws the design (and noise)
-    from a derived seed. Reports the spectral deviations ||M_i - h'_i
-    x'_i^*||, their mean/max, and the entrywise trial mean of M_i with
+    Truth is fixed from rng_seed and kappa; each trial redraws the design
+    (and noise) from a derived seed. Reports the spectral deviations ||M_i -
+    h'_i x'_i^*||, their mean/max, and the entrywise trial mean of M_i with
     standard errors for expectation checks.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    truth = sample_ground_truth(dims, 1.0, rng_seed)
+    truth = sample_ground_truth(dims, kappa, rng_seed)
     B = make_dft_rows(dims.m, dims.K)
     expected = np.stack([np.outer(truth.h[i], np.conj(truth.x[i])) for i in range(dims.s)])
     devs = np.empty((n_trials, dims.s))
@@ -354,42 +331,6 @@ def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) 
     }
 
 
-def alignment_trace(inst: ProblemInstance, cfg: SolverConfig):
-    """Per-iteration per-source alignment scalars and distances to truth.
-
-    Runs the solver recording every iteration and reads alpha_i^t and
-    dist(z_i^t, z'_i) off each record's alignment; returns (alphas,
-    source_dists) with shape (T+1, s) each.
-    """
-    truth = inst.truth
-    if truth is None:
-        raise ValueError("alignment_trace requires ground truth")
-    _, records = run(inst, dataclasses.replace(cfg, record_every=1))
-    alphas = np.array([rec.alignment.alpha for rec in records])
-    errors = np.array([rec.alignment.error for rec in records])
-    return alphas, np.sqrt(np.maximum(errors / truth.d, 0.0))
-
-
-def alignment_ratio_series(alphas: np.ndarray, source_dists: np.ndarray | None = None) -> dict:
-    """Per-iteration alignment contraction |alpha_i^{t+1}/alpha_i^t - 1|.
-
-    With per-source distances supplied, also reports the quotient of each
-    ratio by dist(z_i^t, z'_i) so a bounding constant can be read off.
-    """
-    alphas = np.asarray(alphas)
-    if alphas.ndim != 2 or alphas.shape[0] < 2:
-        raise ValueError("alphas must be (T+1, s) with at least two iterations")
-    ratios = np.abs(alphas[1:] / alphas[:-1] - 1.0)
-    out = {"ratios": ratios, "max_series": ratios.max(axis=1)}
-    if source_dists is not None:
-        d = np.asarray(source_dists)[:-1]
-        quot = np.full_like(ratios, np.inf)
-        np.divide(ratios, d, out=quot, where=d > 0)
-        quot[(d == 0) & (ratios == 0)] = 0.0
-        out["quotients"] = quot
-    return out
-
-
 def _jsonable(v):
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
@@ -466,14 +407,16 @@ def _spectral(dims, kappa, sigma, scfg, seed, *, m_sweep=(400, 1600, 6400), n_tr
     """
     table = []
     for m in m_sweep:
-        rep = spectral_concentration(Dimensions(s=dims.s, m=m, K=dims.K), sigma, n_trials, seed)
+        rep = spectral_concentration(
+            Dimensions(s=dims.s, m=m, K=dims.K), sigma, n_trials, seed, kappa
+        )
         table.append(
             {"m": m, "mean_deviation": rep["mean_deviation"], "max_deviation": rep["max_deviation"]}
         )
     means = [row["mean_deviation"] for row in table]
     passed = all(b < a for a, b in zip(means, means[1:]))
-    params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "sigma": sigma,
-              "n_trials": n_trials}
+    params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "kappa": kappa,
+              "sigma": sigma, "n_trials": n_trials}
     return params, {"table": table}, passed
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from demix.objective import DemixState
+from demix import DemixState
 
 
 # ---------------------------------------------------------------- forward map
@@ -76,6 +76,44 @@ def quadratic_form(H, dh, dx) -> float:
     """
     u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)])
     return float(np.real(np.vdot(u, H @ u)))
+
+
+# --------------------------------------------------- population Hessian
+
+
+def population_hessian(truth) -> np.ndarray:
+    """Design expectation of the clean Wirtinger Hessian at the truth.
+
+    Written entry by entry from the closed form for unit-norm sources, as a
+    (4sK) x (4sK) matrix. Coordinate (i, part, k) sits at 4Ki + Kpart + k,
+    with parts (h_i, x_i, conj h_i, conj x_i). The diagonal is 1. The only
+    other entries pair h with conj x and x with conj h within one source:
+    [h_k, conj x_l] = h_k x_l and [x_k, conj h_l] = x_k h_l, and their
+    Hermitian mirrors. Other norms are rejected: there the diagonal blocks
+    would be ||x_i||^2 I and ||h_i||^2 I, not I.
+    """
+    s, K = truth.h.shape
+    norms = np.linalg.norm(np.concatenate([truth.h, truth.x]), axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        raise ValueError(f"population_hessian needs unit-norm sources: {norms}")
+    H = np.zeros((4 * s * K, 4 * s * K), dtype=complex)
+
+    def at(i, part, k):
+        return 4 * K * i + K * part + k
+
+    for i in range(s):
+        h, x = truth.h[i], truth.x[i]
+        hx = h[:, None] * x[None, :]
+        xh = x[:, None] * h[None, :]
+        for k in range(K):
+            for part in range(4):
+                H[at(i, part, k), at(i, part, k)] = 1.0
+            for l in range(K):
+                H[at(i, 0, k), at(i, 3, l)] = hx[k, l]
+                H[at(i, 1, k), at(i, 2, l)] = xh[k, l]
+                H[at(i, 3, l), at(i, 0, k)] = np.conj(hx[k, l])
+                H[at(i, 2, l), at(i, 1, k)] = np.conj(xh[k, l])
+    return H
 
 
 # ------------------------------------------------------- finite differences

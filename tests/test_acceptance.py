@@ -16,15 +16,18 @@ from demix.metrics import align_source
 from demix.objective import gradient_arrays, loss
 from demix.problem import Dimensions, load_instance, make_instance, save_instance, snr_db
 from demix.solver import DivergenceError, SolverConfig, run
-from demix.verify import (
-    check_rsc,
-    leave_one_out_trajectories,
-    population_hessian,
-    spectral_concentration,
-)
+from demix.verify import check_rsc, leave_one_out_trajectories, spectral_concentration
 
 from conftest import FIG1A_SEEDS, random_state
-from oracles import align_objective, fd_real_gradient, grid_align, iters_to, lsq_slope, r_squared
+from oracles import (
+    align_objective,
+    fd_real_gradient,
+    grid_align,
+    iters_to,
+    lsq_slope,
+    population_hessian,
+    r_squared,
+)
 
 
 def test_criterion_01_noiseless_runs_converge_linearly_to_1e6(benchmark_runs):

@@ -393,13 +393,30 @@ def test_verify_spectral_report(tmp_path):
     assert report["pass"] is True
     assert set(report) == {"check", "params", "seed", "metrics", "pass", "notes"}
     assert report["params"] == {
-        "dims": {"s": 1, "K": 4}, "m_sweep": [64, 256], "sigma": 0.0, "n_trials": 40,
+        "dims": {"s": 1, "K": 4}, "m_sweep": [64, 256], "kappa": 1.0, "sigma": 0.0,
+        "n_trials": 40,
     }
     assert set(report["metrics"]) == {"table"}
     table = report["metrics"]["table"]
     assert all(set(row) == {"m", "mean_deviation", "max_deviation"} for row in table)
     assert [row["m"] for row in table] == [64, 256]
     assert table[1]["mean_deviation"] < table[0]["mean_deviation"]
+
+
+def test_verify_spectral_draws_its_truth_at_the_config_kappa(tmp_path):
+    reports = {}
+    for kappa in (1, 3):
+        cfg = write_config(
+            tmp_path, name=f"cfg{kappa}.json", experiment="verify_spectral",
+            dims={"s": 2, "m": 64, "K": 4}, kappa=kappa, m_sweep=[64, 256], n_trials=4,
+            seeds=[1], output_dir=str(tmp_path / f"out{kappa}"),
+        )
+        assert main(["verify", "--config", str(cfg)]) == 0
+        path = tmp_path / f"out{kappa}" / "report_verify_spectral_seed1.json"
+        reports[kappa] = json.loads(path.read_text(encoding="utf-8"))
+    assert reports[1]["params"]["kappa"] == 1.0
+    assert reports[3]["params"]["kappa"] == 3.0
+    assert reports[3]["metrics"]["table"] != reports[1]["metrics"]["table"]
 
 
 # -------------------------------------------------------------- overrides

@@ -16,8 +16,8 @@ from demix.problem import (
     InfiniteSNRError,
     ProblemInstance,
     ShapeError,
-    bilinear_forward,
     check_instance,
+    forward_parts,
     instance_metadata,
     load_instance,
     make_dft_rows,
@@ -111,21 +111,21 @@ def test_measurement_consistency_noiseless_exact(small_instance):
     truth_state = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     r = residuals(truth_state, inst)
     assert np.all(r == 0)
-    fwd = bilinear_forward(inst.truth.h, inst.truth.x, inst.A, inst.B)
+    fwd = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
     assert np.array_equal(fwd, inst.y)
     assert inst.e.size == 0
 
 
 def test_forward_matches_naive(small_instance):
     inst = small_instance
-    fwd = bilinear_forward(inst.truth.h, inst.truth.x, inst.A, inst.B)
+    fwd = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
     ref = naive_forward(inst.truth.h, inst.truth.x, inst.A, inst.B)
     assert np.allclose(fwd, ref, rtol=1e-12, atol=1e-13)
 
 
 def test_noise_identity_exact(noisy_instance):
     inst = noisy_instance
-    fwd = bilinear_forward(inst.truth.h, inst.truth.x, inst.A, inst.B)
+    fwd = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
     assert np.array_equal(inst.y - fwd, inst.e)
     truth_state = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     assert np.array_equal(residuals(truth_state, inst), -inst.e)

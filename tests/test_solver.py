@@ -242,12 +242,23 @@ def test_run_aligns_each_source_once_per_record(
         return align_source(*args)
 
     monkeypatch.setattr(demix.metrics, "align_source", counted)
-    run(small_instance, SolverConfig(eta=0.2, max_iters=max_iters, record_every=record_every))
+    iterates = []
+    _, records = run(
+        small_instance,
+        SolverConfig(eta=0.2, max_iters=max_iters, record_every=record_every),
+        on_iterate=lambda t, state: iterates.append(state.copy()),
+    )
     s = small_instance.dims.s
     # one stacked call per aligned state, each aligning all s sources
     assert len(calls) == per_source
     assert all(np.shape(args[0]) == (s, small_instance.dims.K) for args in calls)
     assert sum(len(args[0]) for args in calls) == per_source * s
+    # each record's ratios are |alpha_t / alpha_{t-1} - 1| of the iterates it saw
+    alphas = [demix.metrics.align_state(z, small_instance.truth).alpha for z in iterates]
+    assert np.array_equal(records[0].alignment_ratios, np.zeros(s))
+    for rec in records[1:]:
+        want = np.abs(alphas[rec.iter] / alphas[rec.iter - 1] - 1.0)
+        assert np.array_equal(rec.alignment_ratios, want)
 
 
 def test_run_divergence_carries_partial_records():

@@ -1,5 +1,5 @@
-"""Empirical geometry checks: population Hessian, curvature sampling,
-back-projection concentration, leave-one-out proximity, alignment traces."""
+"""Empirical geometry checks: population Hessian oracle, curvature sampling,
+back-projection concentration, leave-one-out proximity, reports."""
 
 import dataclasses
 import json
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from demix import _rng, verify
-from demix.objective import DemixState, SizeCapError, source_hessians
+from demix.objective import DemixState, source_hessians
 from demix.problem import (
     Dimensions,
     GroundTruth,
@@ -23,17 +23,14 @@ from demix.solver import SolverConfig, backprojection_matrices
 from demix.verify import (
     NOISE_MODEL_NOTE,
     RscReport,
-    alignment_ratio_series,
-    alignment_trace,
     check_rsc,
     leave_one_out_trajectories,
     make_report,
-    population_hessian,
     spectral_concentration,
     write_report,
 )
 
-from oracles import naive_backprojection
+from oracles import naive_backprojection, population_hessian
 
 
 def _unit_truth(s, K, seed):
@@ -89,15 +86,10 @@ def test_population_hessian_rejects_unbalanced_sources():
     )
     with pytest.raises(ValueError):
         population_hessian(truth)
-
-
-def test_population_hessian_size_cap():
-    K = 1025
-    h = np.zeros((1, K), dtype=complex)
-    h[0, 0] = 1.0
-    truth = GroundTruth(h=h, x=h.copy(), d=np.array([2.0]), d0=1.0, kappa=1.0)
-    with pytest.raises(SizeCapError):
-        population_hessian(truth)
+    # balanced but not unit norm: the closed form's identity blocks would be wrong
+    balanced = GroundTruth(h=truth.h, x=truth.h.copy(), d=np.array([8.0]), d0=4.0, kappa=1.0)
+    with pytest.raises(ValueError):
+        population_hessian(balanced)
 
 
 def test_population_hessian_matches_design_average():
@@ -239,44 +231,6 @@ def test_leave_one_out_single_measurement_is_degenerate():
     out = leave_one_out_trajectories(inst, SolverConfig(eta=0.1, max_iters=2), [0])
     assert out["degenerate"] is True
     assert np.all(np.isfinite(out["series"]))
-
-
-# ---------------------------------------------------------- alignment traces
-
-
-def test_alignment_trace_shapes(small_instance):
-    alphas, sdists = alignment_trace(small_instance, SolverConfig(eta=0.2, max_iters=4))
-    s = small_instance.dims.s
-    assert alphas.shape == (5, s) and np.iscomplexobj(alphas)
-    assert sdists.shape == (5, s) and not np.iscomplexobj(sdists)
-    assert np.all(np.isfinite(sdists)) and np.all(sdists >= 0)
-    blind = dataclasses.replace(small_instance, truth=None)
-    with pytest.raises(ValueError):
-        alignment_trace(blind, SolverConfig(eta=0.2, max_iters=1))
-
-
-def test_alignment_ratio_series_values():
-    alphas = np.array([[1.0, 1.0], [1.1, 2.0]], dtype=complex)
-    out = alignment_ratio_series(alphas)
-    assert np.allclose(out["ratios"], [[0.1, 1.0]], atol=1e-12)
-    assert np.allclose(out["max_series"], [1.0], atol=1e-12)
-
-
-def test_alignment_ratio_series_quotient_edge_cases():
-    alphas = np.array([[2.0, 1.0], [2.0, 3.0]], dtype=complex)
-    dists = np.array([[0.0, 0.0], [0.5, 0.5]])
-    out = alignment_ratio_series(alphas, dists)
-    # stalled alpha over zero distance reads 0; moving alpha over zero reads inf
-    assert out["quotients"][0, 0] == 0.0
-    assert np.isinf(out["quotients"][0, 1])
-    dists2 = np.array([[0.5, 0.25], [0.1, 0.1]])
-    out2 = alignment_ratio_series(alphas, dists2)
-    assert out2["quotients"][0, 1] == pytest.approx(2.0 / 0.25)
-
-
-def test_alignment_ratio_series_needs_two_rows():
-    with pytest.raises(ValueError):
-        alignment_ratio_series(np.ones((1, 3), dtype=complex))
 
 
 # -------------------------------------------------------------------- reports
