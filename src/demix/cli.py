@@ -307,7 +307,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         path = outdir / f"report_{cfg.experiment}_seed{seed}.json"
         try:
             report = verify.run_check(cfg.experiment, *setting, cfg.solver, seed, **cfg.extras)
-        except (DegenerateIterateError, ValueError) as ex:
+        except (DivergenceError, DegenerateIterateError, ValueError) as ex:
             return {"ok": False, "path": path, "seed": seed, "status": None, "error": str(ex)}
         verify.write_report(report, path)
         ok = report["pass"]

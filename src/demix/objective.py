@@ -78,21 +78,6 @@ def gradient_arrays(state: DemixState, inst: ProblemInstance):
     return Gh, Gx
 
 
-def leave_one_out_arrays(state: DemixState, inst: ProblemInstance, l: int):
-    """Gradient of the loss with measurement l deleted, as (s, K) arrays.
-
-    Equals the full gradient minus the l-th summand:
-    g_h_k - R_l (a_kl^* x_k) b_l and g_x_k - conj(R_l) (b_l^* h_k) a_kl
-    with R_l the l-th residual.
-    """
-    if not 0 <= l < inst.dims.m:
-        raise IndexError(f"measurement index {l} out of range [0, {inst.dims.m})")
-    Gh, Gx, r, P, Q = _gradient_full(state, inst)
-    Gh = Gh - (r[l] * np.conj(Q[:, l]))[:, None] * inst.B[l][None, :]
-    Gx = Gx - (np.conj(r[l]) * P[l, :])[:, None] * inst.A[:, l, :]
-    return Gh, Gx
-
-
 def source_hessians(state: DemixState, inst: ProblemInstance) -> np.ndarray:
     """Clean-data Wirtinger Hessian of each source, stacked as (s, 4K, 4K).
 

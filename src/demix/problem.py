@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -252,7 +253,6 @@ def save_instance(inst: ProblemInstance, path) -> None:
     16-byte convention tag, then little-endian complex128 payload in the
     fixed order B, A, y, [e], [truth h, truth x].
     """
-    path = str(path)
     flags = 0
     if inst.truth is not None:
         flags |= _FLAG_TRUTH
@@ -279,8 +279,7 @@ def save_instance(inst: ProblemInstance, path) -> None:
         if inst.truth is not None:
             _write_array(fh, inst.truth.h)
             _write_array(fh, inst.truth.x)
-    sidecar = path[: path.rfind(".")] + ".json" if "." in path else path + ".json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with open(Path(path).with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(instance_metadata(inst), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -298,9 +297,9 @@ def load_instance(path) -> ProblemInstance:
         raise ValueError(f"unsupported container version {version}")
     if flags & ~(_FLAG_TRUTH | _FLAG_NOISE):
         raise ValueError(f"instance file {path} has unknown flag bits: {flags:#x}")
-    conv = blob[44:60].rstrip(b"\0").decode()
-    if conv != CONVENTION:
-        raise ValueError(f"unknown convention tag {conv!r}")
+    tag = blob[44:60]
+    if tag != CONVENTION.encode().ljust(16, b"\0"):
+        raise ValueError(f"instance file {path} has unknown convention tag {tag!r}")
     shapes = {"B": (m, K), "A": (s, m, K), "y": (m,)}
     if flags & _FLAG_NOISE:
         shapes["e"] = (m,)

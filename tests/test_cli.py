@@ -351,6 +351,20 @@ def test_verify_job_failure_is_an_error_line(tmp_path, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_verify_loo_divergence_is_an_error_line(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, experiment="verify_loo", dims={"s": 2, "m": 6, "K": 6},
+        eta=0.1, max_iters=30, l_set=[0, 5], seeds=[4],
+    )
+    assert main(["verify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: seed 4 (report_verify_loo_seed4.json): loss diverged at iteration "
+    )
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "report_verify_loo_seed4.json").exists()
+
+
 def test_verify_loo_report_pass_and_fail(tmp_path):
     cfg = write_config(
         tmp_path, experiment="verify_loo", dims={"s": 1, "m": 800, "K": 8},

@@ -1,4 +1,4 @@
-"""Loss, gradients, leave-one-out deltas, per-source clean Hessians."""
+"""Loss, gradients, per-source clean Hessians."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from demix.objective import (
     DemixState,
     SizeCapError,
     gradient_arrays,
-    leave_one_out_arrays,
     loss,
     residuals,
     source_hessians,
@@ -155,55 +154,6 @@ def test_state_shape_mismatch(small_instance):
     st = DemixState(h=np.ones((3, 4), dtype=complex), x=np.ones((3, 4), dtype=complex))
     with pytest.raises(ShapeError):
         loss(st, small_instance)
-
-
-# -------------------------------------------------------------- leave one out
-
-
-def test_loo_subtracts_exactly_the_lth_summand(small_instance):
-    inst = small_instance
-    gen = np.random.default_rng(5)
-    st = random_state(inst.dims, gen)
-    Gh, Gx = gradient_arrays(st, inst)
-    r = residuals(st, inst)
-    for l in (0, 7, inst.dims.m - 1):
-        Lh, Lx = leave_one_out_arrays(st, inst, l)
-        for i in range(inst.dims.s):
-            term_h = r[l] * np.vdot(inst.A[i, l], st.x[i]) * inst.B[l]
-            term_x = np.conj(r[l]) * np.vdot(inst.B[l], st.h[i]) * inst.A[i, l]
-            assert np.allclose(Gh[i] - Lh[i], term_h, rtol=1e-10, atol=1e-12)
-            assert np.allclose(Gx[i] - Lx[i], term_x, rtol=1e-10, atol=1e-12)
-
-
-def test_loo_matches_gradient_of_reduced_instance():
-    inst = make_instance(Dimensions(s=2, m=12, K=3), kappa=1.0, sigma=0.2, seed=31)
-    gen = np.random.default_rng(8)
-    st = random_state(inst.dims, gen)
-    for l in (0, 5, 11):
-        keep = [j for j in range(inst.dims.m) if j != l]
-        reduced = ProblemInstance(
-            dims=Dimensions(s=2, m=11, K=3),
-            A=inst.A[:, keep, :],
-            B=inst.B[keep],
-            y=inst.y[keep],
-            e=inst.e[keep],
-            sigma=inst.sigma,
-            seed=inst.seed,
-            truth=inst.truth,
-        )
-        Rh, Rx = gradient_arrays(st, reduced)
-        Lh, Lx = leave_one_out_arrays(st, inst, l)
-        assert np.allclose(Lh, Rh, rtol=1e-11, atol=1e-12)
-        assert np.allclose(Lx, Rx, rtol=1e-11, atol=1e-12)
-
-
-def test_loo_index_bounds(small_instance):
-    gen = np.random.default_rng(1)
-    st = random_state(small_instance.dims, gen)
-    with pytest.raises(IndexError):
-        leave_one_out_arrays(st, small_instance, -1)
-    with pytest.raises(IndexError):
-        leave_one_out_arrays(st, small_instance, small_instance.dims.m)
 
 
 # -------------------------------------------------------------------- Hessian

@@ -1,6 +1,7 @@
 """Instance generation: design properties, noise model, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,14 @@ def test_save_load_round_trip_bit_exact(tmp_path, noisy_instance):
     assert (tmp_path / "inst.json").exists()
 
 
+def test_sidecar_stays_in_a_dotted_directory(tmp_path, noisy_instance):
+    outdir = tmp_path / "run.v2"
+    outdir.mkdir()
+    save_instance(noisy_instance, outdir / "inst")
+    assert sorted(p.name for p in outdir.iterdir()) == ["inst", "inst.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2"]
+
+
 def test_save_load_without_truth(tmp_path, small_instance):
     inst = small_instance
     bare = ProblemInstance(
@@ -257,6 +266,16 @@ def test_load_rejects_truncated_file(tmp_path, noisy_instance):
         path.write_bytes(cut)
         with pytest.raises(ValueError, match="truncated"):
             load_instance(path)
+
+
+def test_load_rejects_corrupt_convention_tag(tmp_path, noisy_instance):
+    path = tmp_path / "inst.bin"
+    save_instance(noisy_instance, path)
+    blob = bytearray(path.read_bytes())
+    blob[44] = 0xFF  # first byte of the convention tag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*convention"):
+        load_instance(path)
 
 
 def test_load_rejects_trailing_bytes(tmp_path, noisy_instance):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from demix import _rng, verify
+from demix import _rng, metrics, verify
 from demix.objective import DemixState, source_hessians
 from demix.problem import (
     Dimensions,
@@ -19,7 +19,7 @@ from demix.problem import (
     sample_ground_truth,
     synthesize_measurements,
 )
-from demix.solver import SolverConfig, backprojection_matrices
+from demix.solver import SolverConfig, backprojection_matrices, run
 from demix.verify import (
     NOISE_MODEL_NOTE,
     RscReport,
@@ -211,6 +211,37 @@ def test_leave_one_out_trajectories_report():
     assert out["dist_initial"] == out["dist_truth"][0]
     assert out["l_set"] == [0, 7]
     assert out["degenerate"] is False
+
+
+def test_leave_one_out_matches_runs_on_deleted_measurement():
+    inst = make_instance(Dimensions(s=2, m=48, K=3), kappa=1.5, sigma=0.1, seed=5)
+    cfg = SolverConfig(eta=0.1, max_iters=20)
+    l_set = [0, 7, 47]
+    out = leave_one_out_trajectories(inst, cfg, l_set)
+    main = []
+    run(inst, cfg, on_iterate=lambda t, st: main.append(st))
+    truth = inst.truth
+    for k, l in enumerate(l_set):
+        reduced = ProblemInstance(
+            dims=Dimensions(s=2, m=47, K=3),
+            A=np.delete(inst.A, l, axis=1),
+            B=np.delete(inst.B, l, axis=0),
+            y=np.delete(inst.y, l),
+            e=np.zeros(0, dtype=complex),
+            sigma=inst.sigma,
+            seed=inst.seed,
+        )
+        held = []
+        run(reduced, cfg, on_iterate=lambda t, st: held.append(st))
+        assert len(held) == len(main) == cfg.max_iters + 1
+        for t, (st_main, st_held) in enumerate(zip(main, held)):
+            align = metrics.align_state(st_main, truth)
+            ref_h = st_main.h / np.conj(align.alpha)[:, None]
+            ref_x = align.alpha[:, None] * st_main.x
+            g = metrics.aligned_error(st_held.h, st_held.x, ref_h, ref_x)[1]
+            want = metrics.dist_from_errors(g, truth.d)
+            assert out["per_l"][t, k] == pytest.approx(want, rel=1e-12)
+            assert out["dist_truth"][t] == align.dist(truth.d)
 
 
 def test_leave_one_out_validation(small_instance):
