@@ -4,7 +4,17 @@ Every consumer derives an independent Philox stream from (master_seed, tag).
 Normal variates are produced by an explicit Box-Muller transform over the
 stream's uniforms, so the sampled values are pinned by this file rather than
 by numpy's Generator.normal implementation.
+
+A draw of n normal pairs takes n uniforms u1, then n uniforms u2, and gives
+r cos(theta) + 1j r sin(theta) with r = sqrt(-2 log(1 - u1)) and theta =
+2 pi u2. _box_muller evaluates that formula in blocks of _BLOCK entries,
+so its working memory beyond the complex output is one n-float buffer (u1)
+and three block buffers; u2 is drawn into the output itself. Its values and
+the stream position it leaves are those of the unblocked formula, which
+tests/oracles.py pins.
 """
+
+import math
 
 import numpy as np
 
@@ -29,22 +39,56 @@ def stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal_pairs(gen: np.random.Generator, n: int):
-    """n Box-Muller pairs of independent N(0, 1) variates."""
+# Entries per Box-Muller block: three float64 block buffers stay in L2.
+_BLOCK = 1 << 14
+# numpy divides a complex array by sqrt(2) as a multiply by fl(1/sqrt(2)).
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _box_muller(gen: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    """n complex Box-Muller pairs, each part multiplied by scale.
+
+    u1 gets its own array; u2 is drawn into the upper half of the output's
+    float64 view. Block [a, b) writes float slots [2a, 2b), which hold u2
+    entries below b, all read by then, so blocks run from low to high.
+    """
+    out = np.empty(n, dtype=complex)
+    real, imag = out.real, out.imag
     u1 = gen.random(n)
-    u2 = gen.random(n)
-    # u1 is in [0, 1); 1 - u1 is in (0, 1] so the log is finite.
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * np.pi * u2
-    return r * np.cos(theta), r * np.sin(theta)
+    u2 = out.view(np.float64)[n:]
+    gen.random(out=u2)
+    r_buf, theta_buf, part_buf = np.empty((3, min(n, _BLOCK)))
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        r, theta, part = r_buf[: b - a], theta_buf[: b - a], part_buf[: b - a]
+        # u1 is in [0, 1); 1 - u1 is in (0, 1] so the log is finite.
+        np.negative(u1[a:b], r)
+        np.log1p(r, r)
+        np.multiply(r, -2.0, r)
+        np.sqrt(r, r)
+        np.multiply(2.0 * np.pi, u2[a:b], theta)
+        np.cos(theta, part)
+        np.multiply(r, part, part)
+        np.multiply(part, scale, real[a:b])
+        np.sin(theta, part)
+        np.multiply(r, part, part)
+        np.multiply(part, scale, imag[a:b])
+    return out
+
+
+def normal_pairs(gen: np.random.Generator, n: int):
+    """n Box-Muller pairs of independent N(0, 1) variates, as (re, im)."""
+    z = _box_muller(gen, n, 1.0)
+    return z.real, z.imag
 
 
 def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) array: real and imaginary parts each N(0, 1/2)."""
-    n = int(np.prod(shape))
-    z_re, z_im = normal_pairs(gen, n)
-    out = (z_re + 1j * z_im) / np.sqrt(2.0)
-    return out.reshape(shape)
+    """CN(0, 1) array: real and imaginary parts each N(0, 1/2).
+
+    Working memory is the output, one n-float buffer and three block
+    buffers; values and stream position equal the unblocked formula's.
+    """
+    return _box_muller(gen, math.prod(shape), _INV_SQRT2).reshape(shape)
 
 
 def derive_seed(seed: int, k: int) -> int:

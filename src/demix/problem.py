@@ -136,6 +136,9 @@ def sample_design(dims: Dimensions, rng_seed: int) -> np.ndarray:
 
     One bulk draw from the design stream in fixed (i, j, k) order; the real
     component of each entry precedes the imaginary one in the stream.
+    Working memory is the output, one n-float buffer and three block
+    buffers; values and stream position equal the unblocked Box-Muller
+    formula's.
     """
     gen = _rng.stream(rng_seed, _rng.TAG_DESIGN)
     return _rng.complex_standard_normal(gen, (dims.s, dims.m, dims.K))

@@ -46,9 +46,10 @@ class RscReport:
     min_quadratic_ratio is the minimum over samples of
     u^*[D H + H D]u / ||u||^2 with H the clean Hessian at a sampled point;
     smoothness_max is the largest sampled operator norm of H.
-    sampling_failures adds up two events: a point draw whose retry budget
-    ran out (the last draw is kept), and a direction that fell back to the
-    raw, unaligned difference of its last pair. The field is named
+    point_failures counts point draws whose retry budget ran out (the last
+    draw is kept); direction_failures counts directions that fell back to
+    the raw, unaligned difference of their last pair; sampling_failures is
+    their sum. The field is named
     `passed` because `pass` is reserved in Python; serialized reports use
     the key "pass".
     """
@@ -59,14 +60,17 @@ class RscReport:
     kappa: float
     s: int
     passed: bool
-    sampling_failures: int = 0
+    point_failures: int = 0
+    direction_failures: int = 0
     delta: float = 0.0
+    sampling_failures: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.samples_tested < 1:
             raise ValueError("samples_tested must be >= 1")
         if not np.isfinite(self.min_quadratic_ratio):
             raise ValueError("min_quadratic_ratio must be finite")
+        self.sampling_failures = self.point_failures + self.direction_failures
 
 
 def _sample_near(gen, center, radius, accept):
@@ -125,7 +129,7 @@ def check_rsc(
     Bc = np.conj(inst.B)
     hn = np.linalg.norm(truth.h, axis=1)
     xn = np.linalg.norm(truth.x, axis=1)
-    failures = 0
+    point_failures = direction_failures = 0
 
     def accept_h(i):
         lim = tb * hn[i]
@@ -138,14 +142,14 @@ def check_rsc(
         return lambda v: np.max(np.abs(Ac @ (v - xt))) <= lim
 
     def sample_state(radius):
-        nonlocal failures
+        nonlocal point_failures
         h = np.empty((s, K), dtype=complex)
         x = np.empty((s, K), dtype=complex)
         for i in range(s):
             h[i], bad = _sample_near(gen, truth.h[i], radius, accept_h(i))
-            failures += bad
+            point_failures += bad
             x[i], bad = _sample_near(gen, truth.x[i], radius, accept_x(i))
-            failures += bad
+            point_failures += bad
         return DemixState(h=h, x=x)
 
     def in_ball(i, h, x):
@@ -158,7 +162,7 @@ def check_rsc(
         aligned onto the first) or, once the retry budget is spent, the raw
         difference of the last pair, so the report stays well formed. D
         holds the matching diagonal (beta_1, beta_2, beta_1, beta_2)."""
-        nonlocal failures
+        nonlocal direction_failures
         for _ in range(_RETRY_LIMIT):
             za = sample_state(0.8 * rho)
             zb = sample_state(0.8 * rho)
@@ -171,7 +175,7 @@ def check_rsc(
             ):
                 break
         else:
-            failures += 1
+            direction_failures += 1
             dh, dx = za.h - zb.h, za.x - zb.x
         u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)], axis=1)
         betas = lo + (hi - lo) * gen.random((s, 2))
@@ -201,7 +205,8 @@ def check_rsc(
         kappa=float(kappa),
         s=s,
         passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth_max <= 2.0 + s),
-        sampling_failures=failures,
+        point_failures=point_failures,
+        direction_failures=direction_failures,
         delta=float(delta),
     )
 
@@ -227,10 +232,10 @@ def spectral_concentration(
         sk = _rng.derive_seed(rng_seed, t)
         A = sample_design(dims, sk)
         y, _ = synthesize_measurements(truth, A, B, sigma, sk)
-        Ms = backprojection_matrices(A, B, y)
-        Ms_all[t] = Ms
-        for i in range(dims.s):
-            devs[t, i] = np.linalg.svd(Ms[i] - expected[i], compute_uv=False)[0]
+        Ms_all[t] = backprojection_matrices(A, B, y)
+        # release this trial's design before the next one is drawn
+        del A, y
+        devs[t] = np.linalg.svd(Ms_all[t] - expected, compute_uv=False)[:, 0]
     mean_M = Ms_all.mean(axis=0)
     if n_trials > 1:
         se_re = Ms_all.real.std(axis=0, ddof=1) / math.sqrt(n_trials)

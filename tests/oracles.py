@@ -13,6 +13,24 @@ import numpy as np
 from demix import DemixState
 
 
+# ---------------------------------------------------------------- sampling
+
+
+def box_muller_pairs(gen, n):
+    """The unblocked Box-Muller formula: n uniforms u1, then n uniforms u2."""
+    u1 = gen.random(n)
+    u2 = gen.random(n)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def complex_standard_normal(gen, shape):
+    """CN(0, 1) draw of the given shape from the unblocked formula."""
+    re, im = box_muller_pairs(gen, int(np.prod(shape)))
+    return ((re + 1j * im) / np.sqrt(2)).reshape(shape)
+
+
 # ---------------------------------------------------------------- forward map
 
 

@@ -334,7 +334,7 @@ def test_verify_rsc_report(tmp_path):
     }
     assert set(report["metrics"]) == {
         "samples_tested", "min_quadratic_ratio", "smoothness_max", "kappa", "s",
-        "sampling_failures",
+        "sampling_failures", "point_failures", "direction_failures",
     }
     assert report["metrics"]["samples_tested"] == 50
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demix
+from demix import _rng
 from demix.objective import DemixState, residuals
 from demix.problem import (
     CONVENTION,
@@ -29,6 +31,7 @@ from demix.problem import (
     snr_db,
 )
 
+import oracles
 from oracles import naive_forward
 
 
@@ -102,6 +105,42 @@ def test_design_moments():
     assert abs(np.mean(flat.imag)) < 0.02
     assert np.var(flat.real) == pytest.approx(0.5, rel=0.05)
     assert np.var(flat.imag) == pytest.approx(0.5, rel=0.05)
+
+
+@pytest.mark.parametrize("pre", [0, 1, 3, 5])
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (3, 7), (50,), (_rng._BLOCK - 1,), (_rng._BLOCK,), (_rng._BLOCK + 1,), (10, 2500, 50)],
+)
+def test_box_muller_matches_unblocked_formula(shape, pre):
+    # same bytes as the unblocked formula, and the stream ends in the same
+    # place, on fresh streams and on streams with draws already taken
+    n = int(np.prod(shape))
+    for draw, oracle in (
+        (lambda g: _rng.complex_standard_normal(g, shape),
+         lambda g: oracles.complex_standard_normal(g, shape)),
+        (lambda g: np.stack(_rng.normal_pairs(g, n)),
+         lambda g: np.stack(oracles.box_muller_pairs(g, n))),
+    ):
+        gen, ref = _rng.stream(9, _rng.TAG_DESIGN), _rng.stream(9, _rng.TAG_DESIGN)
+        gen.random(pre)
+        ref.random(pre)
+        got, want = draw(gen), oracle(ref)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert gen.random(9).tobytes() == ref.random(9).tobytes()
+
+
+def test_sample_design_peak_memory():
+    # the output, u1 and three block buffers: about 1.5x the output's bytes
+    dims = Dimensions(s=10, m=1600, K=50)
+    tracemalloc.start()
+    try:
+        A = sample_design(dims, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * A.nbytes, f"peak {peak / A.nbytes:.2f}x the output"
 
 
 # ---------------------------------------------------------------- consistency

@@ -148,7 +148,9 @@ def test_check_rsc_falls_back_when_retries_run_out(monkeypatch):
     monkeypatch.setattr(verify, "_C_A", 0.05)
     inst = make_instance(Dimensions(s=2, m=200, K=4), seed=2)
     rep = check_rsc(inst, 2, 3, 0.3, 5)
-    assert rep.sampling_failures > 0
+    assert rep.point_failures == 40
+    assert rep.direction_failures == 3
+    assert rep.sampling_failures == 43
     assert rep.samples_tested == 6
     assert np.isfinite(rep.min_quadratic_ratio)
 
