@@ -93,8 +93,8 @@ def _number(key, v, kind=float, low=-math.inf, excluded=False):
 def _parse_dims(raw) -> list[Dimensions]:
     dims = []
     for entry in _as_list(raw):
-        if not isinstance(entry, dict) or not {"s", "m", "K"} <= set(entry):
-            raise UsageError(f"dims entries need keys s, m, K; got {entry!r}")
+        if not isinstance(entry, dict) or set(entry) != {"s", "m", "K"}:
+            raise UsageError(f"dims entries take exactly the keys s, m, K; got {entry!r}")
         s, m, K = (_number(f"dims {k}", entry[k], int) for k in ("s", "m", "K"))
         dims.append(Dimensions(s=s, m=m, K=K))
     if not dims:
@@ -116,10 +116,9 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     unknown = set(raw) - _ALLOWED_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise UsageError(
-            f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-        )
+    version = raw.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise UsageError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {experiment!r}; valid: {EXPERIMENTS}")
@@ -154,11 +153,14 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
     if any(l >= dims[0].m for l in extras.get("l_set", ())):
         raise UsageError(f"l_set entries must be < m = {dims[0].m}")
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise UsageError(f"output_dir must be a string, got {output_dir!r}")
     return ExperimentConfig(
         experiment=experiment,
         dims=dims,
         solver=solver,
-        output_dir=str(out_override if out_override is not None else raw.get("output_dir", "out")),
+        output_dir=str(out_override if out_override is not None else output_dir),
         extras=extras,
         **values,
     )
@@ -222,7 +224,9 @@ def _scalar_setting(cfg: ExperimentConfig, command: str):
     return cfg.dims[0], cfg.kappa[0], cfg.sigma[0]
 
 
-def _solve_all(cfg: ExperimentConfig) -> list:
+def _solve_all(cfg: ExperimentConfig, command: str) -> list:
+    if cfg.experiment in VERIFY_EXPERIMENTS:
+        raise UsageError(f"{command} takes a solver experiment; {cfg.experiment} runs under verify")
     outdir = _outdir(cfg)
     return [_solve_job(cfg.solver, outdir, *combo) for combo in _combos(cfg)]
 
@@ -265,11 +269,11 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     _scalar_setting(cfg, "run")
-    return _finish(_solve_all(cfg))
+    return _finish(_solve_all(cfg, "run"))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    results = _solve_all(cfg)
+    results = _solve_all(cfg, "sweep")
     lines = [SUMMARY_HEADER]
     for res in results:
         dims = res["dims"]

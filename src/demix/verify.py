@@ -1,15 +1,16 @@
 """Desk-scale empirical checks of the geometry the solver relies on.
 
 Covers: sampled restricted strong convexity/smoothness of the clean Hessian
-near the truth, spectral concentration of the back-projection matrices
-around a truth drawn at the configured kappa, and leave-one-out trajectory
-proximity, which runs `run` once per held-out index l on the instance with
-row l of B and y zeroed. CHECKS is the table of verify_* experiments that
-`demix verify` runs.
+near the truth, per-trial spectral deviations of the back-projection
+matrices from a truth drawn at the configured kappa, and leave-one-out
+trajectory proximity, which runs `run` once per held-out index l on the
+instance with row l of B and y zeroed. CHECKS is the table of verify_*
+experiments that `demix verify` runs.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -73,22 +74,21 @@ class RscReport:
         self.sampling_failures = self.point_failures + self.direction_failures
 
 
-def _sample_near(gen, center, radius, accept):
-    """Uniform draw in the l2 ball around center, rejected until accept().
+def _sample_near(gen, i, center, radius, incoherent):
+    """Uniform draw in the l2 ball around center, rejected until incoherent(i, v).
 
     Returns (vector, failed) where failed means the retry budget ran out
     and the last draw was kept anyway.
     """
-    K = center.size
     v = center
     for _ in range(_RETRY_LIMIT):
-        d = _rng.complex_standard_normal(gen, (K,))
+        d = _rng.complex_standard_normal(gen, center.shape)
         nd = np.linalg.norm(d)
         if nd == 0:
             continue
-        r = radius * gen.random() ** (1.0 / (2 * K))
+        r = radius * gen.random() ** (1.0 / (2 * center.size))
         v = center + (r / nd) * d
-        if accept(v):
+        if incoherent(i, v):
             return v, False
     return v, True
 
@@ -123,38 +123,26 @@ def check_rsc(
     kappa = truth.kappa
     mu = truth.mu if truth.mu is not None else metrics.incoherence_mu(truth, inst.B)
     rho = delta / (kappa * math.sqrt(s))
-    ta = 2.0 * _C_A / (math.sqrt(s) * math.log(m) ** 1.5)
-    tb = 2.0 * _C_B * mu * math.log(m) ** 2 / math.sqrt(m)
+    lim_h = 2.0 * _C_B * mu * math.log(m) ** 2 / math.sqrt(m) * np.linalg.norm(truth.h, axis=1)
+    lim_x = 2.0 * _C_A / (math.sqrt(s) * math.log(m) ** 1.5) * np.linalg.norm(truth.x, axis=1)
     gen = _rng.stream(rng_seed, _rng.TAG_AUX)
-    Bc = np.conj(inst.B)
-    hn = np.linalg.norm(truth.h, axis=1)
-    xn = np.linalg.norm(truth.x, axis=1)
-    point_failures = direction_failures = 0
+    failures = collections.Counter()
 
-    def accept_h(i):
-        lim = tb * hn[i]
-        return lambda v: np.max(np.abs(Bc @ v)) <= lim
+    def incoherent_h(i, v):
+        return np.max(np.abs(inst.B @ np.conj(v))) <= lim_h[i]
 
-    def accept_x(i):
-        Ac = np.conj(inst.A[i])
-        lim = ta * xn[i]
-        xt = truth.x[i]
-        return lambda v: np.max(np.abs(Ac @ (v - xt))) <= lim
+    def incoherent_x(i, v):
+        return np.max(np.abs(inst.A[i] @ np.conj(v - truth.x[i]))) <= lim_x[i]
 
     def sample_state(radius):
-        nonlocal point_failures
         h = np.empty((s, K), dtype=complex)
         x = np.empty((s, K), dtype=complex)
         for i in range(s):
-            h[i], bad = _sample_near(gen, truth.h[i], radius, accept_h(i))
-            point_failures += bad
-            x[i], bad = _sample_near(gen, truth.x[i], radius, accept_x(i))
-            point_failures += bad
+            h[i], bad = _sample_near(gen, i, truth.h[i], radius, incoherent_h)
+            failures["point"] += bad
+            x[i], bad = _sample_near(gen, i, truth.x[i], radius, incoherent_x)
+            failures["point"] += bad
         return DemixState(h=h, x=x)
-
-    def in_ball(i, h, x):
-        near = np.linalg.norm(h - truth.h[i]) <= rho and np.linalg.norm(x - truth.x[i]) <= rho
-        return near and accept_h(i)(h) and accept_x(i)(x)
 
     def direction():
         """(u, D): u has (s, 4K) rows (dh, dx, conj dh, conj dx), the
@@ -162,7 +150,6 @@ def check_rsc(
         aligned onto the first) or, once the retry budget is spent, the raw
         difference of the last pair, so the report stays well formed. D
         holds the matching diagonal (beta_1, beta_2, beta_1, beta_2)."""
-        nonlocal direction_failures
         for _ in range(_RETRY_LIMIT):
             za = sample_state(0.8 * rho)
             zb = sample_state(0.8 * rho)
@@ -170,12 +157,15 @@ def check_rsc(
             hb = zb.h / np.conj(alphas)[:, None]
             xb = alphas[:, None] * zb.x
             dh, dx = za.h - hb, za.x - xb
-            if all(in_ball(i, hb[i], xb[i]) for i in range(s)) and (
-                np.vdot(dh, dh).real + np.vdot(dx, dx).real > 0
-            ):
+            if all(
+                np.linalg.norm(hb[i] - truth.h[i]) <= rho
+                and np.linalg.norm(xb[i] - truth.x[i]) <= rho
+                and incoherent_h(i, hb[i]) and incoherent_x(i, xb[i])
+                for i in range(s)
+            ) and np.vdot(dh, dh).real + np.vdot(dx, dx).real > 0:
                 break
         else:
-            direction_failures += 1
+            failures["direction"] += 1
             dh, dx = za.h - zb.h, za.x - zb.x
         u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)], axis=1)
         betas = lo + (hi - lo) * gen.random((s, 2))
@@ -205,58 +195,35 @@ def check_rsc(
         kappa=float(kappa),
         s=s,
         passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth_max <= 2.0 + s),
-        point_failures=point_failures,
-        direction_failures=direction_failures,
+        point_failures=failures["point"],
+        direction_failures=failures["direction"],
         delta=float(delta),
     )
 
 
 def spectral_concentration(
     dims: Dimensions, sigma: float, n_trials: int, rng_seed: int, kappa: float = 1.0
-) -> dict:
-    """Monte-Carlo spread of the back-projections around h'_i x'_i^*.
+) -> np.ndarray:
+    """Spectral deviations ||M_i - h'_i x'_i^*||, shape (n_trials, s).
 
     Truth is fixed from rng_seed and kappa; each trial redraws the design
-    (and noise) from a derived seed. Reports the spectral deviations ||M_i -
-    h'_i x'_i^*||, their mean/max, and the entrywise trial mean of M_i with
-    standard errors for expectation checks.
+    (and noise) from a derived seed, forms its back-projections M_i and keeps
+    only their deviations, so memory does not grow with n_trials.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     truth = sample_ground_truth(dims, kappa, rng_seed)
     B = make_dft_rows(dims.m, dims.K)
-    expected = np.stack([np.outer(truth.h[i], np.conj(truth.x[i])) for i in range(dims.s)])
+    expected = truth.h[:, :, None] * np.conj(truth.x)[:, None, :]
     devs = np.empty((n_trials, dims.s))
-    Ms_all = np.empty((n_trials, dims.s, dims.K, dims.K), dtype=complex)
     for t in range(n_trials):
         sk = _rng.derive_seed(rng_seed, t)
         A = sample_design(dims, sk)
         y, _ = synthesize_measurements(truth, A, B, sigma, sk)
-        Ms_all[t] = backprojection_matrices(A, B, y)
-        # release this trial's design before the next one is drawn
-        del A, y
-        devs[t] = np.linalg.svd(Ms_all[t] - expected, compute_uv=False)[:, 0]
-    mean_M = Ms_all.mean(axis=0)
-    if n_trials > 1:
-        se_re = Ms_all.real.std(axis=0, ddof=1) / math.sqrt(n_trials)
-        se_im = Ms_all.imag.std(axis=0, ddof=1) / math.sqrt(n_trials)
-    else:
-        se_re = np.full(mean_M.shape, np.inf)
-        se_im = np.full(mean_M.shape, np.inf)
-    return {
-        "dims": {"s": dims.s, "m": dims.m, "K": dims.K},
-        "sigma": float(sigma),
-        "n_trials": int(n_trials),
-        "seed": int(rng_seed),
-        "deviations": devs,
-        "mean_deviation": float(devs.mean()),
-        "max_deviation": float(devs.max()),
-        "mean_M": mean_M,
-        "se_re": se_re,
-        "se_im": se_im,
-        "expected": expected,
-        "truth": truth,
-    }
+        Ms = backprojection_matrices(A, B, y)
+        del A, y  # release this trial's design before the next one is drawn
+        devs[t] = np.linalg.svd(Ms - expected, compute_uv=False)[:, 0]
+    return devs
 
 
 def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) -> dict:
@@ -399,12 +366,9 @@ def _spectral(dims, kappa, sigma, scfg, seed, *, m_sweep=(400, 1600, 6400), n_tr
     """
     table = []
     for m in m_sweep:
-        rep = spectral_concentration(
-            Dimensions(s=dims.s, m=m, K=dims.K), sigma, n_trials, seed, kappa
-        )
-        table.append(
-            {"m": m, "mean_deviation": rep["mean_deviation"], "max_deviation": rep["max_deviation"]}
-        )
+        devs = spectral_concentration(dataclasses.replace(dims, m=m), sigma, n_trials, seed, kappa)
+        table.append({"m": m, "mean_deviation": float(devs.mean()),
+                      "max_deviation": float(devs.max())})
     means = [row["mean_deviation"] for row in table]
     passed = all(b < a for a, b in zip(means, means[1:]))
     params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "kappa": kappa,

@@ -50,6 +50,30 @@ def dimension_pair_runs():
 
 
 @pytest.fixture
+def backprojection_log(monkeypatch):
+    """Every back-projection stack that `verify` forms, in call order."""
+    from demix import verify
+
+    log = []
+    form = verify.backprojection_matrices
+
+    def logged(*args):
+        log.append(form(*args))
+        return log[-1]
+
+    monkeypatch.setattr(verify, "backprojection_matrices", logged)
+    return log
+
+
+def trial_mean_error(stack, truth):
+    """Entrywise |trial mean - h'_i x'_i^*| of an (n_trials, s, K, K) stack of
+    back-projections, and the larger of its real and imaginary standard errors."""
+    expected = np.stack([np.outer(h, np.conj(x)) for h, x in zip(truth.h, truth.x)])
+    se = np.maximum(stack.real.std(axis=0, ddof=1), stack.imag.std(axis=0, ddof=1))
+    return np.abs(stack.mean(axis=0) - expected), se / np.sqrt(len(stack))
+
+
+@pytest.fixture
 def small_instance():
     """Workhorse small instance: fast, noiseless, with truth attached."""
     return demix.make_instance(Dimensions(s=2, m=24, K=4), kappa=1.0, sigma=0.0, seed=9)

@@ -159,7 +159,9 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("stop_tol", -1), ("kappa", 0.5), ("sigma", -1), ("eta", "abc"), ("max_iters", 1.5)],
+    [("stop_tol", -1), ("kappa", 0.5), ("sigma", -1), ("eta", "abc"), ("max_iters", 1.5),
+     # True == 1 in Python, and a null output_dir would name a directory "None"
+     ("schema_version", True), ("output_dir", None), ("output_dir", 3)],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, **{key: value})
@@ -173,9 +175,22 @@ def test_run_rejects_dimension_lists(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
-def test_verify_rejects_solver_experiments(tmp_path):
-    cfg = write_config(tmp_path, experiment="convergence")
-    assert main(["verify", "--config", str(cfg)]) == 2
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("verify", {"experiment": "convergence"}, "verify needs one of"),
+        ("run", {"experiment": "verify_rsc", "n_points": 3}, "run takes a solver experiment"),
+        ("sweep", {"experiment": "verify_rsc", "n_points": 3}, "sweep takes a solver experiment"),
+    ],
+    ids=["verify-convergence", "run-verify_rsc", "sweep-verify_rsc"],
+)
+def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides, message):
+    # verify takes only verify_* experiments, and run and sweep only the others
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -185,6 +200,8 @@ def test_verify_rejects_solver_experiments(tmp_path):
         ({"sigma": [0.0, 0.1]}, "verify takes scalar dims/kappa/sigma"),
         ({"dims": [{"s": 1, "m": 64, "K": 4}, {"s": 1, "m": 128, "K": 4}]},
          "verify takes scalar dims/kappa/sigma"),
+        ({"dims": {"s": 1, "m": 64, "K": 4, "kappa": 3}},
+         "dims entries take exactly the keys s, m, K"),
         ({"experiment": "verify_loo", "n_points": 10}, "verify_loo does not read ['n_points']"),
         ({"experiment": "verify_loo", "dims": {"s": 1, "m": 200, "K": 4}, "l_set": [0, 5],
           "n_holdout": 4}, "give l_set or n_holdout, not both"),
@@ -192,8 +209,8 @@ def test_verify_rejects_solver_experiments(tmp_path):
         ({"experiment": "verify_spectral", "dims": {"s": 1, "m": 500, "K": 450}, "n_trials": 1},
          "m_sweep entries must be >= K = 450"),
     ],
-    ids=["kappa_list", "sigma_list", "dims_list", "unread_extra", "l_set_with_n_holdout",
-         "default_m_sweep_below_K"],
+    ids=["kappa_list", "sigma_list", "dims_list", "dims_unknown_key", "unread_extra",
+         "l_set_with_n_holdout", "default_m_sweep_below_K"],
 )
 def test_verify_setting_usage_errors(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **dict({"experiment": "verify_rsc"}, **overrides))

@@ -3,6 +3,7 @@ back-projection concentration, leave-one-out proximity, reports."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from demix.verify import (
     write_report,
 )
 
+from conftest import trial_mean_error
 from oracles import naive_backprojection, population_hessian
 
 
@@ -155,6 +157,16 @@ def test_check_rsc_falls_back_when_retries_run_out(monkeypatch):
     assert np.isfinite(rep.min_quadratic_ratio)
 
 
+def test_check_rsc_side_conditions_bind_on_some_draws(monkeypatch):
+    # with c_a = 1 the side conditions reject some draws and accept others,
+    # so the counts pin which draws each incoherence test accepts
+    monkeypatch.setattr(verify, "_RETRY_LIMIT", 20)
+    monkeypatch.setattr(verify, "_C_A", 1.0)
+    inst = make_instance(Dimensions(s=1, m=100, K=3), kappa=1.0, sigma=0.05, seed=3)
+    rep = check_rsc(inst, 3, 3, 0.3, 3)
+    assert (rep.point_failures, rep.direction_failures) == (74, 1)
+
+
 def test_check_rsc_input_validation(small_instance):
     with pytest.raises(ValueError):
         check_rsc(small_instance, n_points=0, n_dirs=5, delta=0.1, rng_seed=1)
@@ -166,16 +178,34 @@ def test_check_rsc_input_validation(small_instance):
 # -------------------------------------------------- spectral concentration
 
 
-def test_spectral_concentration_smoke():
+def test_spectral_concentration_smoke(backprojection_log):
     dims = Dimensions(s=2, m=256, K=4)
-    out = spectral_concentration(dims, 0.0, 25, 3)
-    assert out["deviations"].shape == (25, 2)
-    assert np.all(np.isfinite(out["deviations"]))
-    assert out["mean_deviation"] == pytest.approx(out["deviations"].mean())
-    assert out["max_deviation"] == pytest.approx(out["deviations"].max())
-    # the trial mean of each back-projection matches its rank-one target
-    se = 5 * np.maximum(out["se_re"], out["se_im"]) + 1e-12
-    assert np.all(np.abs(out["mean_M"] - out["expected"]) <= se)
+    devs = spectral_concentration(dims, 0.0, 25, 3)
+    assert devs.shape == (25, 2)
+    assert np.all(np.isfinite(devs))
+    # each deviation is the spectral norm of its trial's back-projection
+    # error, and the trial mean of each back-projection matches its
+    # rank-one target
+    truth = sample_ground_truth(dims, 1.0, 3)
+    Ms = np.array(backprojection_log)
+    expected = np.stack([np.outer(h, np.conj(x)) for h, x in zip(truth.h, truth.x)])
+    assert devs == pytest.approx(np.linalg.norm(Ms - expected, ord=2, axis=(2, 3)), rel=1e-12)
+    err, se = trial_mean_error(Ms, truth)
+    assert np.all(err <= 5 * se + 1e-12)
+
+
+def test_spectral_concentration_memory_does_not_grow_with_trials():
+    # about 2x: one trial's design and its draw buffers; a stack of all 20
+    # trials' back-projections would take the peak past 4x
+    dims = Dimensions(s=10, m=400, K=50)
+    design_bytes = dims.s * dims.m * dims.K * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        spectral_concentration(dims, 0.0, 20, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * design_bytes, f"peak {peak / design_bytes:.2f}x the design"
 
 
 def test_spectral_concentration_rejects_empty():
