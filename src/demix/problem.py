@@ -8,6 +8,7 @@ a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,9 +137,10 @@ def sample_design(dims: Dimensions, rng_seed: int) -> np.ndarray:
 
     One bulk draw from the design stream in fixed (i, j, k) order; the real
     component of each entry precedes the imaginary one in the stream.
-    Working memory is the output, one n-float buffer and three block
-    buffers; values and stream position equal the unblocked Box-Muller
-    formula's.
+    Working memory is the output and three block buffers: u1 is drawn block
+    by block from a second generator that starts where the design stream
+    does, and the stream skips past it by Philox.advance. Values and stream
+    position equal the unblocked Box-Muller formula's.
     """
     gen = _rng.stream(rng_seed, _rng.TAG_DESIGN)
     return _rng.complex_standard_normal(gen, (dims.s, dims.m, dims.K))
@@ -288,19 +290,27 @@ def save_instance(inst: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    """Read a container written by save_instance; its size must match its header."""
+    """Read a container written by save_instance; its size must match its header.
+
+    The payload is read straight into one array, which the instance's arrays
+    are views of, so loading never holds the file twice.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC:
+        head = fh.read(_HEADER_BYTES)
+        # an array of its own rather than a view at byte offset 60 of a
+        # buffer, so the payload is aligned for BLAS
+        body = np.empty(max(os.fstat(fh.fileno()).st_size - len(head), 0), dtype=np.uint8)
+        size = len(head) + fh.readinto(body)
+    if head[:8] != _MAGIC:
         raise ValueError(f"not an instance file: {path}")
-    if len(blob) < _HEADER_BYTES:
+    if len(head) < _HEADER_BYTES:
         raise ValueError(f"instance file {path} is truncated inside its header")
-    version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", blob, 8)
+    version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", head, 8)
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
     if flags & ~(_FLAG_TRUTH | _FLAG_NOISE):
         raise ValueError(f"instance file {path} has unknown flag bits: {flags:#x}")
-    tag = blob[44:60]
+    tag = head[44:60]
     if tag != CONVENTION.encode().ljust(16, b"\0"):
         raise ValueError(f"instance file {path} has unknown convention tag {tag!r}")
     shapes = {"B": (m, K), "A": (s, m, K), "y": (m,)}
@@ -310,13 +320,13 @@ def load_instance(path) -> ProblemInstance:
         shapes.update(h=(s, K), x=(s, K))
     ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
     want = _HEADER_BYTES + 16 * int(ends[-1])
-    if len(blob) != want:
-        what = "truncated" if len(blob) < want else "followed by trailing bytes"
+    if size != want:
+        what = "truncated" if size < want else "followed by trailing bytes"
         raise ValueError(
-            f"instance file {path} is {what}: {len(blob)} bytes, "
+            f"instance file {path} is {what}: {size} bytes, "
             f"the header (s={s}, m={m}, K={K}, flags={flags}) implies {want}"
         )
-    payload = np.frombuffer(blob, dtype="<c16", offset=_HEADER_BYTES).astype(np.complex128)
+    payload = body[: size - _HEADER_BYTES].view("<c16").astype(np.complex128, copy=False)
     arrays = {
         name: part.reshape(shape)
         for (name, shape), part in zip(shapes.items(), np.split(payload, ends[:-1]))

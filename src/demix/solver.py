@@ -90,10 +90,13 @@ def backprojection_matrices(A: np.ndarray, B: np.ndarray, y: np.ndarray) -> np.n
     """M_i = sum_j y_j b_j a_ij^*, stacked as (s, K, K).
 
     One batched product, M_i = conj((By)^* A_i) with By = diag(y) B, so A is
-    never copied to conjugate it.
+    never copied to conjugate it. By is conjugated in place and so is the
+    product, so the only (m, K) temporary is By itself.
     """
     By = B * y[:, None]
-    return np.conj(np.conj(By).T @ A)
+    np.conj(By, out=By)
+    M = By.T @ A
+    return np.conj(M, out=M)
 
 
 def leading_triple(M: np.ndarray):

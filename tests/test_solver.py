@@ -1,5 +1,7 @@
 """Spectral initialization, the scaled-step loop, and trajectory recording."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ def test_backprojection_matches_naive(small_instance):
     ref = naive_backprojection(inst.A, inst.B, inst.y)
     assert Ms.shape == (inst.dims.s, inst.dims.K, inst.dims.K)
     assert np.allclose(Ms, ref, rtol=1e-12, atol=1e-13)
+
+
+def test_backprojection_peak_memory():
+    # one (m, K) temporary, diag(y) B conjugated in place, and the (s, K, K)
+    # result: about 1.3x B's bytes
+    inst = make_instance(Dimensions(s=10, m=1600, K=50), kappa=1.0, sigma=0.0, seed=2)
+    tracemalloc.start()
+    try:
+        backprojection_matrices(inst.A, inst.B, inst.y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * inst.B.nbytes, f"peak {peak / inst.B.nbytes:.2f}x B"
 
 
 # -------------------------------------------------------------- leading triple
