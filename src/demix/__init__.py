@@ -19,7 +19,6 @@ from .objective import (
     DemixState,
     loss,
     residuals,
-    source_hessians,
 )
 from .problem import (
     Dimensions,
@@ -77,7 +76,6 @@ __all__ = [
     "sample_ground_truth",
     "save_instance",
     "snr_db",
-    "source_hessians",
     "spectral_concentration",
     "spectral_init",
     "synthesize_measurements",

@@ -1,9 +1,11 @@
-"""Loss, Wirtinger gradients and the per-source clean Wirtinger Hessians.
+"""Loss, Wirtinger gradients and the per-source clean curvature.
 
 The loss is f(z) = sum_j |sum_i b_j^* h_i x_i^* a_ij - y_j|^2. Gradients
 follow the conjugate-coordinate (df/d z-bar) convention; the gradient of f
 under the real 4sK-parameterization is exactly twice [Re g; Im g], a factor
-calibrated once on the scalar case and frozen in the tests.
+calibrated once on the scalar case and frozen in the tests. The clean
+curvature of a source is a real 4K x 4K matrix built from the residual's
+Jacobian.
 """
 
 from __future__ import annotations
@@ -13,15 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemInstance, ShapeError, forward_parts
-
-
-class SizeCapError(ValueError):
-    """Dense Hessian assembly refused beyond the small-scale cap."""
-
-
-def _check_dense_cap(s: int, K: int) -> None:
-    if 4 * s * K > 4096:
-        raise SizeCapError(f"4sK = {4 * s * K} exceeds the 4096 dense-Hessian cap")
 
 
 @dataclass
@@ -78,39 +71,39 @@ def gradient_arrays(state: DemixState, inst: ProblemInstance):
     return Gh, Gx
 
 
-def source_hessians(state: DemixState, inst: ProblemInstance) -> np.ndarray:
-    """Clean-data Wirtinger Hessian of each source, stacked as (s, 4K, 4K).
+def _source_curvatures(state: DemixState, inst: ProblemInstance):
+    """Clean curvature of each source in turn, as a real symmetric (4K, 4K) M_i.
 
-    In the coordinate order (dh_i, dx_i, conj dh_i, conj dx_i), source i's
-    block is the Hermitian [[C, E], [E^*, conj(C)]] with
-    C = [[C1, C2], [C2^*, C3]], E = [[0, E1], [E2, 0]] and
-    C1 = sum_j |a_ij^* x_i|^2 b_j b_j^*
-    C2 = sum_j c_j b_j a_ij^*   (c = forward map of the state minus the truth's)
-    C3 = sum_j |b_j^* h_i|^2 a_ij a_ij^*
-    E1 = sum_j (b_j b_j^* h_i)(a_ij a_ij^* x_i)^T   (plain transpose)
-    E2 = sum_j (a_ij a_ij^* x_i)(b_j b_j^* h_i)^T
+    In v = (Re dh_i, Im dh_i, Re dx_i, Im dx_i), v^T M_i v is the
+    second-order term of the clean loss along source i alone:
+    |J_i w|^2 + 2 Re dh_i^T W_i conj(dx_i), with J_i the residual's (m, 2K)
+    Jacobian in w = T2 v = (dh_i, conj dx_i), c the clean residual and
+    W_i = sum_j conj(c_j) conj(b_j) a_ij^T. M_i = T^H H_i T / 2 for the
+    Wirtinger Hessian H_i in u = T v = (dh_i, dx_i, conj dh_i, conj dx_i);
+    T / sqrt(2) is unitary, so M_i and H_i share their eigenvalues.
     """
     _check(state, inst)
-    s, K = state.h.shape
-    _check_dense_cap(s, K)
     if inst.truth is None:
-        raise ValueError("the clean Hessian needs the ground truth attached")
+        raise ValueError("the clean curvature needs the ground truth attached")
+    s, K = state.h.shape
     P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
     c = fwd - forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
-    B = inst.B
-    Z = np.zeros((K, K), dtype=complex)
-    out = np.empty((s, 4 * K, 4 * K), dtype=complex)
+    I, Z = np.eye(K), np.zeros((K, K))
+    T2 = np.block([[I, 1j * I, Z, Z], [Z, Z, I, -1j * I]])
+    # J = [Q_i conj(B), P_i A_i] is filled in place; conj(B) times a weight
+    # per row is written as the conjugate of B times the weight's conjugate
+    J = np.empty((len(c), 2 * K), dtype=complex)
+    Jh, Jx = J[:, :K], J[:, K:]
     for i in range(s):
-        Ai = inst.A[i]
-        w1 = np.abs(Q[i]) ** 2
-        w3 = np.abs(P[:, i]) ** 2
-        coupl = P[:, i] * np.conj(Q[i])  # (b_j^* h_i)(a_ij^* x_i)
-        C1 = (B * w1[:, None]).T @ np.conj(B)
-        C2 = (B * c[:, None]).T @ np.conj(Ai)
-        C3 = (Ai * w3[:, None]).T @ np.conj(Ai)
-        E1 = (B * coupl[:, None]).T @ Ai
-        E2 = (Ai * coupl[:, None]).T @ B
-        C = np.block([[C1, C2], [C2.conj().T, C3]])
-        E = np.block([[Z, E1], [E2, Z]])
-        out[i] = np.block([[C, E], [E.conj().T, np.conj(C)]])
-    return out
+        np.conjugate(np.multiply(np.conj(Q[i])[:, None], inst.B, out=Jh), out=Jh)
+        np.multiply(P[:, i][:, None], inst.A[i], out=Jx)
+        R = J.view(float)  # Re and Im of J's columns, interleaved
+        RR = R.T @ R
+        G = RR[::2, ::2] + RR[1::2, 1::2] + 1j * (RR[::2, 1::2] - RR[1::2, ::2])  # J^H J
+        M = (T2.conj().T @ G @ T2).real
+        np.conjugate(np.multiply(c[:, None], inst.B, out=Jh), out=Jh)  # conj(c) conj(B)
+        W = Jh.T @ inst.A[i]
+        X = np.block([[W.real, W.imag], [-W.imag, W.real]])
+        M[: 2 * K, 2 * K :] += X
+        M[2 * K :, : 2 * K] += X.T
+        yield M

@@ -1,7 +1,7 @@
 """Desk-scale empirical checks of the geometry the solver relies on.
 
-Covers: sampled restricted strong convexity/smoothness of the clean Hessian
-near the truth, per-trial spectral deviations of the back-projection
+Covers: sampled restricted strong convexity/smoothness of the clean
+curvature near the truth, per-trial spectral deviations of the back-projection
 matrices from a truth drawn at the configured kappa, and leave-one-out
 trajectory proximity, which runs `run` once per held-out index l on the
 instance with row l of B and y zeroed. CHECKS is the table of verify_*
@@ -20,12 +20,13 @@ import numpy as np
 
 from . import _rng, metrics
 # _gradient_full is not called here; perfbench asserts that tracing rewraps it here too
-from .objective import DemixState, _check_dense_cap, _gradient_full, source_hessians
+from .objective import DemixState, _gradient_full, _source_curvatures
 from .problem import Dimensions, ProblemInstance, make_dft_rows, make_instance, sample_design
 from .problem import sample_ground_truth, synthesize_measurements
 from .solver import SolverConfig, backprojection_matrices, run
 
-_RETRY_LIMIT = 10_000
+# Redrawn candidates one check_rsc call may spend over all of its draws.
+_REJECTION_BUDGET = 10_000
 # Constants of check_rsc's incoherence side conditions.
 _C_A = 6.0
 _C_B = 1.0
@@ -45,14 +46,14 @@ class RscReport:
     """Sampled strong-convexity/smoothness summary near the truth.
 
     min_quadratic_ratio is the minimum over samples of
-    u^*[D H + H D]u / ||u||^2 with H the clean Hessian at a sampled point;
-    smoothness_max is the largest sampled operator norm of H.
-    point_failures counts point draws whose retry budget ran out (the last
-    draw is kept); direction_failures counts directions that fell back to
-    the raw, unaligned difference of their last pair; sampling_failures is
-    their sum. The field is named
-    `passed` because `pass` is reserved in Python; serialized reports use
-    the key "pass".
+    2 sum_i (d_i v_i)^T M_i v_i / sum_i ||v_i||^2, with M_i the real clean
+    curvature of source i at a sampled point; smoothness_max is the largest
+    |eigenvalue| of any sampled M_i. Once the draw budget is spent, a point
+    draw keeps a candidate that breaks its side condition (a point failure)
+    and a direction the raw difference of its pair (a direction failure);
+    sampling_failures is their sum, and a check with any does not pass. The
+    field is named `passed` because `pass` is reserved in Python; serialized
+    reports use the key "pass".
     """
 
     samples_tested: int
@@ -74,25 +75,6 @@ class RscReport:
         self.sampling_failures = self.point_failures + self.direction_failures
 
 
-def _sample_near(gen, i, center, radius, incoherent):
-    """Uniform draw in the l2 ball around center, rejected until incoherent(i, v).
-
-    Returns (vector, failed) where failed means the retry budget ran out
-    and the last draw was kept anyway.
-    """
-    v = center
-    for _ in range(_RETRY_LIMIT):
-        d = _rng.complex_standard_normal(gen, center.shape)
-        nd = np.linalg.norm(d)
-        if nd == 0:
-            continue
-        r = radius * gen.random() ** (1.0 / (2 * center.size))
-        v = center + (r / nd) * d
-        if incoherent(i, v):
-            return v, False
-    return v, True
-
-
 def check_rsc(
     inst: ProblemInstance,
     n_points: int,
@@ -100,26 +82,28 @@ def check_rsc(
     delta: float,
     rng_seed: int,
 ) -> RscReport:
-    """Sample the clean-Hessian quadratic form over the contraction region.
+    """Sample the clean-curvature quadratic form over the contraction region.
 
     Points z are drawn per source in the l2 ball of radius delta/(kappa
-    sqrt(s)) around the truth and rejected until both incoherence side
+    sqrt(s)) around the truth and redrawn until both incoherence side
     conditions hold: max_j |a_ij^*(x_i - x'_i)| <= 2 c_a ||x'_i|| /
     (sqrt(s) log^{3/2} m) and max_j |b_j^* h_i| <= 2 c_b mu log^2(m)
-    ||h'_i|| / sqrt(m), with c_a = _C_A and c_b = _C_B. Directions u
-    stack per-source differences of an aligned pair of such points (the
-    second point aligned onto the first), and D carries per-source scalars
-    beta_{i1}, beta_{i2} drawn uniformly within delta/(kappa sqrt(s)) of
-    1/kappa.
+    ||h'_i|| / sqrt(m), with c_a = _C_A and c_b = _C_B. Directions v stack
+    per-source differences (Re dh, Im dh, Re dx, Im dx) of an aligned pair
+    of such points (the second aligned onto the first), and d carries
+    per-source scalars beta_{i1} (on dh), beta_{i2} (on dx) drawn uniformly
+    within delta/(kappa sqrt(s)) of 1/kappa. Redraws, of a point or of a
+    pair's 4s points, come from one budget of _REJECTION_BUDGET draws.
     """
     truth = inst.truth
     if truth is None:
         raise ValueError("check_rsc requires an instance with ground truth")
-    s, K = truth.h.shape
-    _check_dense_cap(s, K)
     if n_points < 1 or n_dirs < 1:
         raise ValueError("n_points and n_dirs must be >= 1")
     m = inst.dims.m
+    if m < 2:
+        raise ValueError(f"check_rsc needs m >= 2, got m={m}: its side conditions divide by log m")
+    s, K = truth.h.shape
     kappa = truth.kappa
     mu = truth.mu if truth.mu is not None else metrics.incoherence_mu(truth, inst.B)
     rho = delta / (kappa * math.sqrt(s))
@@ -127,6 +111,7 @@ def check_rsc(
     lim_x = 2.0 * _C_A / (math.sqrt(s) * math.log(m) ** 1.5) * np.linalg.norm(truth.x, axis=1)
     gen = _rng.stream(rng_seed, _rng.TAG_AUX)
     failures = collections.Counter()
+    spare = _REJECTION_BUDGET
 
     def incoherent_h(i, v):
         return np.max(np.abs(inst.B @ np.conj(v))) <= lim_h[i]
@@ -134,23 +119,40 @@ def check_rsc(
     def incoherent_x(i, v):
         return np.max(np.abs(inst.A[i] @ np.conj(v - truth.x[i]))) <= lim_x[i]
 
+    def sample_near(i, center, radius, incoherent):
+        """Uniform draw in the l2 ball around center, redrawn from the budget
+        until incoherent(i, v); with the budget spent, a rejected draw is kept
+        as a point failure."""
+        nonlocal spare
+        v = center
+        while True:
+            d = _rng.complex_standard_normal(gen, center.shape)
+            nd = np.linalg.norm(d)
+            if nd > 0:
+                r = radius * gen.random() ** (1.0 / (2 * center.size))
+                v = center + (r / nd) * d
+                if incoherent(i, v):
+                    return v
+            if spare == 0:
+                failures["point"] += 1
+                return v
+            spare -= 1
+
     def sample_state(radius):
         h = np.empty((s, K), dtype=complex)
         x = np.empty((s, K), dtype=complex)
         for i in range(s):
-            h[i], bad = _sample_near(gen, i, truth.h[i], radius, incoherent_h)
-            failures["point"] += bad
-            x[i], bad = _sample_near(gen, i, truth.x[i], radius, incoherent_x)
-            failures["point"] += bad
+            h[i] = sample_near(i, truth.h[i], radius, incoherent_h)
+            x[i] = sample_near(i, truth.x[i], radius, incoherent_x)
         return DemixState(h=h, x=x)
 
     def direction():
-        """(u, D): u has (s, 4K) rows (dh, dx, conj dh, conj dx), the
-        per-source difference of an aligned in-ball pair (the second point
-        aligned onto the first) or, once the retry budget is spent, the raw
-        difference of the last pair, so the report stays well formed. D
-        holds the matching diagonal (beta_1, beta_2, beta_1, beta_2)."""
-        for _ in range(_RETRY_LIMIT):
+        """(v, d), both (s, 4K): v is the per-source difference of an aligned
+        in-ball pair or, once the budget cannot pay for a new pair, the raw
+        difference of the last pair, so the report stays well formed; d holds
+        beta_1 on the dh coordinates and beta_2 on the dx ones."""
+        nonlocal spare
+        while True:
             za = sample_state(0.8 * rho)
             zb = sample_state(0.8 * rho)
             alphas = metrics.align_source(zb.h, zb.x, za.h, za.x)
@@ -164,29 +166,29 @@ def check_rsc(
                 for i in range(s)
             ) and np.vdot(dh, dh).real + np.vdot(dx, dx).real > 0:
                 break
-        else:
-            failures["direction"] += 1
-            dh, dx = za.h - zb.h, za.x - zb.x
-        u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)], axis=1)
+            if spare < 4 * s:
+                failures["direction"] += 1
+                dh, dx = za.h - zb.h, za.x - zb.x
+                break
+            spare -= 4 * s
+        v = np.concatenate([dh.real, dh.imag, dx.real, dx.imag], axis=1)
         betas = lo + (hi - lo) * gen.random((s, 2))
-        return u, np.repeat(betas[:, [0, 1, 0, 1]], K, axis=1)
+        return v, np.repeat(betas, 2 * K, axis=1)
 
     lo = max(1.0 / kappa - rho, 1e-3 / kappa)
     hi = 1.0 / kappa + rho
     points = [sample_state(rho) for _ in range(n_points)]
-    dirs = [direction() for _ in range(n_dirs)]
+    V, D = (np.array(a) for a in zip(*(direction() for _ in range(n_dirs))))  # (n_dirs, s, 4K)
+    den = np.sum(V**2, axis=(1, 2))
 
     min_ratio = math.inf
     smooth_max = 0.0
     for z in points:
-        Hs = source_hessians(z, inst)
-        smooth_max = max(smooth_max, float(np.max(np.abs(np.linalg.eigvalsh(Hs)))))
-        for u, D in dirs:
-            num = den = 0.0
-            for Hi, ui, di in zip(Hs, u, D):
-                num += 2.0 * float(np.real(np.vdot(di * ui, Hi @ ui)))
-                den += float(np.real(np.vdot(ui, ui)))
-            min_ratio = min(min_ratio, num / den)
+        num = np.zeros(n_dirs)
+        for i, M in enumerate(_source_curvatures(z, inst)):
+            smooth_max = max(smooth_max, float(np.max(np.abs(np.linalg.eigvalsh(M)))))
+            num += 2.0 * np.sum(D[:, i] * V[:, i] * (V[:, i] @ M), axis=1)
+        min_ratio = min(min_ratio, float(np.min(num / den)))
 
     return RscReport(
         samples_tested=n_points * n_dirs,
@@ -194,7 +196,8 @@ def check_rsc(
         smoothness_max=smooth_max,
         kappa=float(kappa),
         s=s,
-        passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth_max <= 2.0 + s),
+        passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth_max <= 2.0 + s
+                    and not sum(failures.values())),
         point_failures=failures["point"],
         direction_failures=failures["direction"],
         delta=float(delta),

@@ -86,14 +86,41 @@ def clean_loss(state, inst) -> float:
     return float(np.real(np.vdot(r, r)))
 
 
-def quadratic_form(H, dh, dx) -> float:
-    """u^* H u with u = [dh; dx; conj(dh); conj(dx)].
+def wirtinger_hessian(state, inst, i) -> np.ndarray:
+    """Clean Wirtinger Hessian of source i in u = (dh_i, dx_i, conj dh_i, conj dx_i).
 
-    Second-order term of the expansion f(z + t d) = f(z) + 2 t Re<g, d>
-    + (t^2/2) u^* H u + O(t^3) along a single-source direction.
+    Along a direction in source i alone, f(z + t d) = f(z) + 2 t Re<g, d>
+    + (t^2/2) u^* H u + O(t^3) for the clean loss f. H is the Hermitian
+    [[C, E], [E^*, conj(C)]] with C = [[C1, C2], [C2^*, C3]] and
+    E = [[0, E1], [E1^T, 0]], summed as rank-one terms over j:
+    C1 = sum_j |a_ij^* x_i|^2 b_j b_j^*
+    C2 = sum_j c_j b_j a_ij^*   (c = clean residual)
+    C3 = sum_j |b_j^* h_i|^2 a_ij a_ij^*
+    E1 = sum_j (b_j b_j^* h_i)(a_ij a_ij^* x_i)^T   (plain transpose)
     """
-    u = np.concatenate([dh, dx, np.conj(dh), np.conj(dx)])
-    return float(np.real(np.vdot(u, H @ u)))
+    c = clean_residuals(state, inst)
+    h, x = state.h[i], state.x[i]
+    K = h.size
+    C1, C2, C3, E1 = (np.zeros((K, K), dtype=complex) for _ in range(4))
+    for j, (b, a) in enumerate(zip(inst.B, inst.A[i])):
+        bh, ax = np.vdot(b, h), np.vdot(a, x)
+        C1 += abs(ax) ** 2 * np.outer(b, np.conj(b))
+        C2 += c[j] * np.outer(b, np.conj(a))
+        C3 += abs(bh) ** 2 * np.outer(a, np.conj(a))
+        E1 += np.outer(b * bh, a * ax)
+    Z = np.zeros((K, K))
+    C = np.block([[C1, C2], [C2.conj().T, C3]])
+    E = np.block([[Z, E1], [E1.T, Z]])
+    return np.block([[C, E], [E.conj().T, np.conj(C)]])
+
+
+def real_to_wirtinger(K) -> np.ndarray:
+    """The (4K, 4K) map T from v = (Re dh, Im dh, Re dx, Im dx) to
+    u = (dh, dx, conj dh, conj dx); T / sqrt(2) is unitary."""
+    I, Z = np.eye(K), np.zeros((K, K))
+    return np.block(
+        [[I, 1j * I, Z, Z], [Z, Z, I, 1j * I], [I, -1j * I, Z, Z], [Z, Z, I, -1j * I]]
+    )
 
 
 # --------------------------------------------------- population Hessian

@@ -357,13 +357,13 @@ def test_verify_rsc_report(tmp_path):
 
 
 def test_verify_job_failure_is_an_error_line(tmp_path, capsys):
-    # 4sK = 4160 is over the 4096 dense-Hessian cap of check_rsc
-    cfg = write_config(tmp_path, experiment="verify_rsc", dims={"s": 2, "m": 2000, "K": 520})
+    # check_rsc's side conditions divide by log m, so m = 1 is refused
+    cfg = write_config(tmp_path, experiment="verify_rsc", dims={"s": 1, "m": 1, "K": 1})
     assert main(["verify", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
         "error: seed 3 (report_verify_rsc_seed3.json): "
-        "4sK = 4160 exceeds the 4096 dense-Hessian cap\n"
+        "check_rsc needs m >= 2, got m=1: its side conditions divide by log m\n"
     )
     assert not any((tmp_path / "out").iterdir())
 

@@ -1,4 +1,4 @@
-"""Loss, gradients, per-source clean Hessians."""
+"""Loss, gradients, per-source clean curvature."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,10 @@ import pytest
 import demix
 from demix.objective import (
     DemixState,
-    SizeCapError,
+    _source_curvatures,
     gradient_arrays,
     loss,
     residuals,
-    source_hessians,
 )
 from demix.problem import Dimensions, ProblemInstance, ShapeError, make_instance
 
@@ -25,7 +24,8 @@ from oracles import (
     naive_gradient,
     naive_loss,
     perturbed,
-    quadratic_form,
+    real_to_wirtinger,
+    wirtinger_hessian,
 )
 
 
@@ -156,43 +156,68 @@ def test_state_shape_mismatch(small_instance):
         loss(st, small_instance)
 
 
-# -------------------------------------------------------------------- Hessian
+# ------------------------------------------------------------------ curvature
+
+
+def _as_real(dh, dx):
+    return np.concatenate([dh.real, dh.imag, dx.real, dx.imag])
 
 
 def test_hessian_hermitian(small_instance):
     gen = np.random.default_rng(17)
     st = random_state(small_instance.dims, gen)
-    for H in source_hessians(st, small_instance):
-        assert np.max(np.abs(H - H.conj().T)) <= 1e-12 * max(1.0, np.abs(H).max())
+    for M in _source_curvatures(st, small_instance):
+        assert M.dtype == float
+        assert np.max(np.abs(M - M.T)) <= 1e-12 * max(1.0, np.abs(M).max())
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_curvature_is_the_wirtinger_hessian_in_real_coordinates(s):
+    # away from the truth, with noise: M_i = Re(T^H H_i T) / 2 for the oracle's H_i
+    gen = np.random.default_rng(31 + s)
+    inst = make_instance(Dimensions(s=s, m=40, K=4), kappa=1.5, sigma=0.2, seed=s)
+    st = random_state(inst.dims, gen)
+    T = real_to_wirtinger(inst.dims.K)
+    for i, M in enumerate(_source_curvatures(st, inst)):
+        want = (T.conj().T @ wirtinger_hessian(st, inst, i) @ T).real / 2
+        assert np.max(np.abs(M - want)) <= 1e-13 * np.abs(want).max()
 
 
 def test_hessian_clean_coupling_vanishes_at_truth(small_instance):
+    # the clean residual is exactly zero at the truth, so the oracle's C2
+    # block is exactly zero and each M_i annihilates both gauge directions
+    # (c h_i, -conj(c) x_i) for c = 1 and c = i
     inst = small_instance
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     K = inst.dims.K
-    for H in source_hessians(st, inst):
-        assert np.all(H[:K, K : 2 * K] == 0)  # C2
+    for i, M in enumerate(_source_curvatures(st, inst)):
+        assert np.all(wirtinger_hessian(st, inst, i)[:K, K : 2 * K] == 0)
+        h, x = st.h[i], st.x[i]
+        for c in (1.0, 1j):
+            v = _as_real(c * h, -np.conj(c) * x)
+            assert np.linalg.norm(M @ v) <= 1e-12 * np.abs(M).max() * np.linalg.norm(v)
 
 
 def test_hessian_quadratic_form_matches_second_differences():
+    # the central second difference along a single-source direction is 2 v^T M_i v
     gen = np.random.default_rng(23)
     inst = make_instance(Dimensions(s=2, m=16, K=3), kappa=1.0, sigma=0.1, seed=77)
     st = random_state(inst.dims, gen)
-    Hs = source_hessians(st, inst)
+    Ms = list(_source_curvatures(st, inst))
     for i in range(inst.dims.s):
         dh1 = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         dx1 = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         dh = np.zeros_like(st.h)
         dx = np.zeros_like(st.x)
         dh[i], dx[i] = dh1, dx1
-        qf = quadratic_form(Hs[i], dh1, dx1)
+        v = _as_real(dh1, dx1)
         fd = fd_second_directional(lambda s_: clean_loss(s_, inst), st, dh, dx, 1e-4)
-        assert fd == pytest.approx(qf, rel=1e-5)
+        assert fd == pytest.approx(2.0 * v @ Ms[i] @ v, rel=1e-5)
 
 
 def test_quadratic_expansion_cubic_remainder():
-    # f(z + t d) - f(z) - 2 t Re<g, d> - (t^2/2) u^* H u must shrink like t^3;
-    # at sigma = 0 the clean Hessian is the Hessian of the loss
+    # f(z + t d) - f(z) - 2 t Re<g, d> - t^2 v^T M v must shrink like t^3;
+    # at sigma = 0 the clean curvature is the curvature of the loss
     gen = np.random.default_rng(29)
     inst = make_instance(Dimensions(s=1, m=10, K=2), kappa=1.0, sigma=0.0, seed=5)
     st = random_state(inst.dims, gen)
@@ -200,8 +225,9 @@ def test_quadratic_expansion_cubic_remainder():
     dx = gen.standard_normal((1, 2)) + 1j * gen.standard_normal((1, 2))
     Gh, Gx = gradient_arrays(st, inst)
     lin = 2.0 * float(np.real(np.vdot(Gh, dh) + np.vdot(Gx, dx)))
-    H = source_hessians(st, inst)[0]
-    quad = 0.5 * quadratic_form(H, dh[0], dx[0])
+    (M,) = _source_curvatures(st, inst)
+    v = _as_real(dh[0], dx[0])
+    quad = v @ M @ v
     f0 = loss(st, inst)
     ts = np.logspace(-3, -1.5, 6)
     remainders = []
@@ -210,16 +236,3 @@ def test_quadratic_expansion_cubic_remainder():
         remainders.append(abs(ft - f0 - t * lin - t**2 * quad))
     slope = lsq_slope(np.log(ts), np.log(remainders))
     assert slope >= 2.7
-
-
-def test_source_hessians_size_cap():
-    # 4sK = 4104 is over the 4096 dense-Hessian cap
-    s, m, K = 2, 513, 513
-    inst = ProblemInstance(
-        dims=Dimensions(s=s, m=m, K=K), A=np.zeros((s, m, K), dtype=complex),
-        B=np.zeros((m, K), dtype=complex), y=np.zeros(m, dtype=complex),
-        e=np.zeros(0, dtype=complex), sigma=0.0, seed=0,
-    )
-    st = DemixState(h=np.ones((s, K)), x=np.ones((s, K)))
-    with pytest.raises(SizeCapError, match="4sK = 4104 exceeds the 4096 dense-Hessian cap"):
-        source_hessians(st, inst)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from demix import _rng, metrics, verify
-from demix.objective import DemixState, source_hessians
+from demix.objective import DemixState, _source_curvatures
 from demix.problem import (
     Dimensions,
     GroundTruth,
@@ -32,7 +32,7 @@ from demix.verify import (
 )
 
 from conftest import trial_mean_error
-from oracles import naive_backprojection, population_hessian
+from oracles import naive_backprojection, population_hessian, real_to_wirtinger
 
 
 def _unit_truth(s, K, seed):
@@ -95,26 +95,25 @@ def test_population_hessian_rejects_unbalanced_sources():
 
 
 def test_population_hessian_matches_design_average():
-    # fixed truth, fresh designs: the trial mean of the clean Hessian at the
-    # truth must land within 5 standard errors of the closed form, entrywise
+    # fixed truth, fresh designs: the trial mean of the clean curvature at the
+    # truth must land within 5 standard errors of the closed form taken to
+    # the same real coordinates, entrywise
     dims = Dimensions(s=1, m=64, K=2)
     truth = sample_ground_truth(dims, 1.0, 5)
     B = make_dft_rows(dims.m, dims.K)
     state = DemixState(h=truth.h.copy(), x=truth.x.copy())
     n_trials = 300
-    Hs = np.empty((n_trials, 8, 8), dtype=complex)
+    Ms = np.empty((n_trials, 8, 8))
     for t in range(n_trials):
         sk = _rng.derive_seed(5, t)
         A = sample_design(dims, sk)
         y, e = synthesize_measurements(truth, A, B, 0.0, sk)
         inst = ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=0.0, seed=sk, truth=truth)
-        Hs[t] = source_hessians(state, inst)[0]
-    pop = population_hessian(truth)
-    mean = Hs.mean(axis=0)
-    se_re = Hs.real.std(axis=0, ddof=1) / np.sqrt(n_trials)
-    se_im = Hs.imag.std(axis=0, ddof=1) / np.sqrt(n_trials)
-    assert np.all(np.abs(mean.real - pop.real) <= 5 * se_re + 1e-12)
-    assert np.all(np.abs(mean.imag - pop.imag) <= 5 * se_im + 1e-12)
+        (Ms[t],) = _source_curvatures(state, inst)
+    T = real_to_wirtinger(dims.K)
+    pop = (T.conj().T @ population_hessian(truth) @ T).real / 2
+    se = Ms.std(axis=0, ddof=1) / np.sqrt(n_trials)
+    assert np.all(np.abs(Ms.mean(axis=0) - pop) <= 5 * se + 1e-12)
 
 
 # ------------------------------------------------------------------ curvature
@@ -144,27 +143,64 @@ def test_check_rsc_small_instance():
 
 
 def test_check_rsc_falls_back_when_retries_run_out(monkeypatch):
-    # a tight side condition (c_a = 0.05) spends the 3 retries, so the
-    # directions fall back to the raw difference of the last pair
-    monkeypatch.setattr(verify, "_RETRY_LIMIT", 3)
+    # a tight side condition (c_a = 0.05) rejects every x draw, so 3 redraws
+    # spend the budget: each of the 16 x draws then keeps a rejected
+    # candidate and each direction falls back to the raw difference of its pair
+    monkeypatch.setattr(verify, "_REJECTION_BUDGET", 3)
     monkeypatch.setattr(verify, "_C_A", 0.05)
     inst = make_instance(Dimensions(s=2, m=200, K=4), seed=2)
     rep = check_rsc(inst, 2, 3, 0.3, 5)
-    assert rep.point_failures == 40
+    assert rep.point_failures == 16
     assert rep.direction_failures == 3
-    assert rep.sampling_failures == 43
+    assert rep.sampling_failures == 19
     assert rep.samples_tested == 6
+    assert rep.passed is False
     assert np.isfinite(rep.min_quadratic_ratio)
 
 
 def test_check_rsc_side_conditions_bind_on_some_draws(monkeypatch):
-    # with c_a = 1 the side conditions reject some draws and accept others,
+    # with c_a = 2 the side conditions reject some draws and accept others,
     # so the counts pin which draws each incoherence test accepts
-    monkeypatch.setattr(verify, "_RETRY_LIMIT", 20)
-    monkeypatch.setattr(verify, "_C_A", 1.0)
+    monkeypatch.setattr(verify, "_REJECTION_BUDGET", 20)
+    monkeypatch.setattr(verify, "_C_A", 2.0)
     inst = make_instance(Dimensions(s=1, m=100, K=3), kappa=1.0, sigma=0.05, seed=3)
     rep = check_rsc(inst, 3, 3, 0.3, 3)
-    assert (rep.point_failures, rep.direction_failures) == (74, 1)
+    assert (rep.point_failures, rep.direction_failures) == (7, 3)
+
+
+def test_check_rsc_draws_are_bounded_by_one_budget(monkeypatch):
+    # at delta = 1 most draws break a side condition; the check spends its
+    # budget of redraws on top of one draw per source, point and pair member
+    # (2s (n_points + 2 n_dirs) = 36), and reports the shortfall as a failure
+    inst = make_instance(Dimensions(s=2, m=400, K=6), kappa=1.0, sigma=0.05, seed=1)
+    draw = _rng.complex_standard_normal
+    calls = []
+    monkeypatch.setattr(
+        _rng, "complex_standard_normal", lambda *a: calls.append(1) or draw(*a)
+    )
+    rep = check_rsc(inst, 3, 3, 1.0, 1)
+    assert len(calls) == verify._REJECTION_BUDGET + 36
+    assert rep.sampling_failures > 0
+    assert rep.passed is False
+
+
+def test_check_rsc_memory_is_a_few_source_designs():
+    # the working set is one source's (m, 2K) Jacobian and (4K, 4K)
+    # curvature beside the (m, s) forward parts, so the peak stays a few of
+    # one source's design bytes as s grows (measured 2.99x at s = 1 and
+    # 3.76x at s = 4); one Jacobian per source would take s = 4 past 8x
+    m, K = 6400, 8
+    peaks = []
+    for s in (1, 4):
+        inst = make_instance(Dimensions(s=s, m=m, K=K), kappa=1.0, sigma=0.0, seed=s)
+        tracemalloc.start()
+        try:
+            check_rsc(inst, n_points=3, n_dirs=2, delta=0.1, rng_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak / (m * K * np.dtype(complex).itemsize))
+    assert max(peaks) <= 4.5, f"peaks {peaks} x one source's design"
 
 
 def test_check_rsc_input_validation(small_instance):
