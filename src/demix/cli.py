@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import verify
@@ -24,14 +24,19 @@ from .solver import DegenerateIterateError, DivergenceError, SolverConfig, run
 
 SCHEMA_VERSION = 1
 VERIFY_EXPERIMENTS = tuple(verify.CHECKS)
-EXPERIMENTS = ("convergence", "condition_number", "noise_sweep", "incoherence", *VERIFY_EXPERIMENTS)
+# experiment -> the numeric keys it reads besides kappa, sigma and seeds, with their
+# defaults: SolverConfig's fields, or a verify_* check's keyword-only parameters.
+_READS = dict.fromkeys(("convergence", "condition_number", "noise_sweep", "incoherence"),
+                       asdict(SolverConfig()))
+_READS.update((experiment, verify.check_extras(experiment)) for experiment in VERIFY_EXPERIMENTS)
+EXPERIMENTS = tuple(_READS)
 
 CSV_HEADER = "iter,loss,relative_error,dist,inc_a,inc_b,max_alignment_ratio,errors"
 SUMMARY_HEADER = "K,s,m,eta,kappa,sigma,seed,snr_db,final_relative_error,iters"
 
-# Numeric config keys: key -> (type, lower bound, bound excluded). Absent keys
-# take the ExperimentConfig or SolverConfig defaults; _SOLVER_KEYS go to the
-# SolverConfig, _EXTRAS to the verification checks, which hold their defaults.
+# Numeric config keys: key -> (type, lower bound, bound excluded). An experiment
+# that does not read a given key (see _READS) rejects it; absent keys take the
+# ExperimentConfig or _READS defaults.
 _NUMBERS = {
     "eta": (float, 0.0, True),
     "kappa": (float, 1.0, False),
@@ -50,8 +55,6 @@ _NUMBERS = {
     "loo_factor": (float, 0.0, True),
 }
 _LISTS = ("kappa", "sigma", "seeds", "m_sweep", "l_set")
-_SOLVER_KEYS = ("eta", "max_iters", "stop_tol", "record_every")
-_EXTRAS = {key for experiment in VERIFY_EXPERIMENTS for key in verify.check_extras(experiment)}
 _ALLOWED_KEYS = {"schema_version", "experiment", "dims", "output_dir", *_NUMBERS}
 
 
@@ -63,12 +66,11 @@ class UsageError(ValueError):
 class ExperimentConfig:
     experiment: str
     dims: list[Dimensions]
-    solver: SolverConfig
     kappa: list[float] = field(default_factory=lambda: [1.0])
     sigma: list[float] = field(default_factory=lambda: [0.0])
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "out"
-    extras: dict = field(default_factory=dict)
+    settings: dict = field(default_factory=dict)  # the _READS keys, defaults filled in
 
 
 def _as_list(v):
@@ -140,18 +142,16 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
             values[key] = _number(key, raw[key], *spec)
     if seed_override is not None:
         values["seeds"] = [int(seed_override)]
-    solver = SolverConfig(**{key: values.pop(key) for key in _SOLVER_KEYS if key in values})
-    extras = {key: values.pop(key) for key in _EXTRAS if key in values}
-    reads = verify.check_extras(experiment) if experiment in VERIFY_EXPERIMENTS else {}
-    unread = sorted(set(extras) - set(reads))
+    reads = _READS[experiment]
+    unread = sorted(set(values) - set(reads) - {"kappa", "sigma", "seeds"})
     if unread:
         raise UsageError(f"{experiment} does not read {unread}")
-    if {"l_set", "n_holdout"} <= set(extras):
+    if {"l_set", "n_holdout"} <= set(values):
         raise UsageError("give l_set or n_holdout, not both: n_holdout only sizes a drawn l_set")
-    extras = {**reads, **extras}
-    if any(m < dims[0].K for m in extras.get("m_sweep", ())):
+    settings = {key: values.pop(key, default) for key, default in reads.items()}
+    if any(m < dims[0].K for m in settings.get("m_sweep", ())):
         raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
-    if any(l >= dims[0].m for l in extras.get("l_set", ())):
+    if any(l >= dims[0].m for l in settings.get("l_set", ())):
         raise UsageError(f"l_set entries must be < m = {dims[0].m}")
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -159,9 +159,8 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     return ExperimentConfig(
         experiment=experiment,
         dims=dims,
-        solver=solver,
         output_dir=str(out_override if out_override is not None else output_dir),
-        extras=extras,
+        settings=settings,
         **values,
     )
 
@@ -227,8 +226,9 @@ def _scalar_setting(cfg: ExperimentConfig, command: str):
 def _solve_all(cfg: ExperimentConfig, command: str) -> list:
     if cfg.experiment in VERIFY_EXPERIMENTS:
         raise UsageError(f"{command} takes a solver experiment; {cfg.experiment} runs under verify")
+    scfg = SolverConfig(**cfg.settings)
     outdir = _outdir(cfg)
-    return [_solve_job(cfg.solver, outdir, *combo) for combo in _combos(cfg)]
+    return [_solve_job(scfg, outdir, *combo) for combo in _combos(cfg)]
 
 
 def _solve_job(scfg: SolverConfig, outdir: Path, dims, kappa, sigma, seed) -> dict:
@@ -283,7 +283,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                     str(dims.K),
                     str(dims.s),
                     str(dims.m),
-                    repr(float(cfg.solver.eta)),
+                    repr(float(cfg.settings["eta"])),
                     repr(float(res["kappa"])),
                     repr(float(res["sigma"])),
                     str(res["seed"]),
@@ -310,7 +310,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     def job(seed):
         path = outdir / f"report_{cfg.experiment}_seed{seed}.json"
         try:
-            report = verify.run_check(cfg.experiment, *setting, cfg.solver, seed, **cfg.extras)
+            report = verify.run_check(cfg.experiment, *setting, seed, **cfg.settings)
         except (DivergenceError, DegenerateIterateError, ValueError) as ex:
             return {"ok": False, "path": path, "seed": seed, "status": None, "error": str(ex)}
         verify.write_report(report, path)

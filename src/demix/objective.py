@@ -71,23 +71,22 @@ def gradient_arrays(state: DemixState, inst: ProblemInstance):
     return Gh, Gx
 
 
-def _source_curvatures(state: DemixState, inst: ProblemInstance):
+def _source_curvatures(state: DemixState, inst: ProblemInstance, fwd_truth: np.ndarray):
     """Clean curvature of each source in turn, as a real symmetric (4K, 4K) M_i.
 
     In v = (Re dh_i, Im dh_i, Re dx_i, Im dx_i), v^T M_i v is the
     second-order term of the clean loss along source i alone:
     |J_i w|^2 + 2 Re dh_i^T W_i conj(dx_i), with J_i the residual's (m, 2K)
-    Jacobian in w = T2 v = (dh_i, conj dx_i), c the clean residual and
+    Jacobian in w = T2 v = (dh_i, conj dx_i), c the clean residual (the
+    state's forward map less fwd_truth, the truth's) and
     W_i = sum_j conj(c_j) conj(b_j) a_ij^T. M_i = T^H H_i T / 2 for the
     Wirtinger Hessian H_i in u = T v = (dh_i, dx_i, conj dh_i, conj dx_i);
     T / sqrt(2) is unitary, so M_i and H_i share their eigenvalues.
     """
     _check(state, inst)
-    if inst.truth is None:
-        raise ValueError("the clean curvature needs the ground truth attached")
     s, K = state.h.shape
     P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
-    c = fwd - forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
+    c = fwd - fwd_truth
     I, Z = np.eye(K), np.zeros((K, K))
     T2 = np.block([[I, 1j * I, Z, Z], [Z, Z, I, -1j * I]])
     # J = [Q_i conj(B), P_i A_i] is filled in place; conj(B) times a weight

@@ -60,8 +60,8 @@ class GroundTruth:
 
     h, x are (s, K) arrays whose rows are the source vectors.
     d[i] = ||h_i||^2 + ||x_i||^2, d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2),
-    kappa = max_i ||x_i|| / min_i ||x_i||. mu is filled in once the DFT
-    rows are known (it depends on B).
+    kappa = max_i ||x_i|| / min_i ||x_i||. The incoherence mu also depends
+    on B, so it is not stored here: metrics.incoherence_mu(truth, B) gives it.
     """
 
     h: np.ndarray
@@ -69,7 +69,6 @@ class GroundTruth:
     d: np.ndarray
     d0: float
     kappa: float
-    mu: float | None = None
 
     @classmethod
     def from_pairs(cls, h: np.ndarray, x: np.ndarray) -> "GroundTruth":
@@ -227,7 +226,6 @@ def make_instance(
     A = sample_design(dims, seed)
     truth = sample_ground_truth(dims, kappa, seed)
     y, e = synthesize_measurements(truth, A, B, sigma, seed)
-    truth.mu = metrics.incoherence_mu(truth, B)
     return ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=sigma, seed=seed, truth=truth)
 
 
@@ -241,7 +239,7 @@ def instance_metadata(inst: ProblemInstance) -> dict:
         "sigma": inst.sigma,
         "seed": inst.seed,
         "kappa": None if t is None else t.kappa,
-        "mu": None if t is None else t.mu,
+        "mu": None if t is None else metrics.incoherence_mu(t, inst.B),
         "d0": None if t is None else t.d0,
         "convention": CONVENTION,
     }
@@ -334,7 +332,6 @@ def load_instance(path) -> ProblemInstance:
     truth = None
     if flags & _FLAG_TRUTH:
         truth = GroundTruth.from_pairs(arrays["h"], arrays["x"])
-        truth.mu = metrics.incoherence_mu(truth, arrays["B"])
     return ProblemInstance(
         dims=Dimensions(s=s, m=m, K=K),
         A=arrays["A"],

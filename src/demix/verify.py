@@ -21,8 +21,8 @@ import numpy as np
 from . import _rng, metrics
 # _gradient_full is not called here; perfbench asserts that tracing rewraps it here too
 from .objective import DemixState, _gradient_full, _source_curvatures
-from .problem import Dimensions, ProblemInstance, make_dft_rows, make_instance, sample_design
-from .problem import sample_ground_truth, synthesize_measurements
+from .problem import Dimensions, ProblemInstance, forward_parts, make_dft_rows, make_instance
+from .problem import sample_design, sample_ground_truth, synthesize_measurements
 from .solver import SolverConfig, backprojection_matrices, run
 
 # Redrawn candidates one check_rsc call may spend over all of its draws.
@@ -98,14 +98,15 @@ def check_rsc(
     truth = inst.truth
     if truth is None:
         raise ValueError("check_rsc requires an instance with ground truth")
-    if n_points < 1 or n_dirs < 1:
-        raise ValueError("n_points and n_dirs must be >= 1")
+    if n_points < 1 or n_dirs < 1 or not delta > 0:
+        raise ValueError(f"check_rsc needs n_points, n_dirs >= 1 and delta > 0, got "
+                         f"{n_points}, {n_dirs} and {delta}")
     m = inst.dims.m
     if m < 2:
         raise ValueError(f"check_rsc needs m >= 2, got m={m}: its side conditions divide by log m")
     s, K = truth.h.shape
     kappa = truth.kappa
-    mu = truth.mu if truth.mu is not None else metrics.incoherence_mu(truth, inst.B)
+    mu = metrics.incoherence_mu(truth, inst.B)
     rho = delta / (kappa * math.sqrt(s))
     lim_h = 2.0 * _C_B * mu * math.log(m) ** 2 / math.sqrt(m) * np.linalg.norm(truth.h, axis=1)
     lim_x = 2.0 * _C_A / (math.sqrt(s) * math.log(m) ** 1.5) * np.linalg.norm(truth.x, axis=1)
@@ -180,12 +181,13 @@ def check_rsc(
     points = [sample_state(rho) for _ in range(n_points)]
     V, D = (np.array(a) for a in zip(*(direction() for _ in range(n_dirs))))  # (n_dirs, s, 4K)
     den = np.sum(V**2, axis=(1, 2))
+    fwd_truth = forward_parts(truth.h, truth.x, inst.A, inst.B)[2]
 
     min_ratio = math.inf
     smooth_max = 0.0
     for z in points:
         num = np.zeros(n_dirs)
-        for i, M in enumerate(_source_curvatures(z, inst)):
+        for i, M in enumerate(_source_curvatures(z, inst, fwd_truth)):
             smooth_max = max(smooth_max, float(np.max(np.abs(np.linalg.eigvalsh(M)))))
             num += 2.0 * np.sum(D[:, i] * V[:, i] * (V[:, i] @ M), axis=1)
         min_ratio = min(min_ratio, float(np.min(num / den)))
@@ -333,7 +335,7 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def _rsc(dims, kappa, sigma, scfg, seed, *, n_points=50, n_dirs=20, delta=0.1):
+def _rsc(dims, kappa, sigma, seed, *, n_points=50, n_dirs=20, delta=0.1):
     """check_rsc on the instance of this setting and seed."""
     inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
     rep = check_rsc(inst, n_points=n_points, n_dirs=n_dirs, delta=delta, rng_seed=seed)
@@ -343,27 +345,28 @@ def _rsc(dims, kappa, sigma, scfg, seed, *, n_points=50, n_dirs=20, delta=0.1):
     return params, metrics_out, rep.passed
 
 
-def _loo(dims, kappa, sigma, scfg, seed, *, l_set=(), n_holdout=8, loo_factor=0.1):
+def _loo(dims, kappa, sigma, seed, *, l_set=(), n_holdout=8, loo_factor=0.1,
+         eta=SolverConfig.eta, max_iters=SolverConfig.max_iters):
     """Leave-one-out proximity over l_set, or over n_holdout indices drawn
-    from the seed; passes when it stays below loo_factor times the initial
-    distance to the truth.
+    from the seed, for runs of max_iters steps of size eta; passes when it
+    stays below loo_factor times the initial distance to the truth.
     """
     inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
     if not l_set:
         gen = _rng.stream(seed, _rng.TAG_AUX)
         count = min(n_holdout, dims.m)
         l_set = sorted(int(v) for v in gen.choice(dims.m, size=count, replace=False))
-    res = leave_one_out_trajectories(inst, scfg, l_set)
+    res = leave_one_out_trajectories(inst, SolverConfig(eta=eta, max_iters=max_iters), l_set)
     max_proximity = float(np.max(res["series"]))
     passed = bool(res["dist_initial"] > 0 and max_proximity < loo_factor * res["dist_initial"])
-    params = {"dims": dims, "kappa": kappa, "sigma": sigma, "eta": scfg.eta,
-              "max_iters": scfg.max_iters, "l_set": l_set, "loo_factor": loo_factor}
+    params = {"dims": dims, "kappa": kappa, "sigma": sigma, "eta": eta,
+              "max_iters": max_iters, "l_set": l_set, "loo_factor": loo_factor}
     metrics_out = {"series": res["series"], "dist_initial": res["dist_initial"],
                    "max_proximity": max_proximity, "degenerate": res["degenerate"]}
     return params, metrics_out, passed
 
 
-def _spectral(dims, kappa, sigma, scfg, seed, *, m_sweep=(400, 1600, 6400), n_trials=200):
+def _spectral(dims, kappa, sigma, seed, *, m_sweep=(400, 1600, 6400), n_trials=200):
     """Back-projection spread at each m of m_sweep (dims.m is not used);
     passes when the mean deviation falls strictly as m grows.
     """
@@ -380,10 +383,9 @@ def _spectral(dims, kappa, sigma, scfg, seed, *, m_sweep=(400, 1600, 6400), n_tr
 
 
 # verify_* experiment -> (report name, check). A check takes the scalar setting
-# (dims, kappa, sigma, solver config) and the seed, and returns the report's
-# params, metrics and pass flag. Its keyword-only parameters are the
-# config extras the experiment reads, and their defaults are the extras'
-# defaults.
+# (dims, kappa, sigma) and the seed, and returns the report's params, metrics
+# and pass flag. Its keyword-only parameters are the other config keys the
+# experiment reads, and their defaults are those keys' defaults.
 CHECKS = {
     "verify_rsc": ("rsc", _rsc),
     "verify_loo": ("loo", _loo),
@@ -392,12 +394,12 @@ CHECKS = {
 
 
 def check_extras(experiment: str) -> dict:
-    """The config extras a verify_* experiment reads, with their defaults."""
+    """Keys a verify_* experiment reads besides kappa, sigma and seeds, with defaults."""
     return dict(CHECKS[experiment][1].__kwdefaults__)
 
 
-def run_check(experiment: str, dims, kappa, sigma, scfg, seed: int, **extras) -> dict:
+def run_check(experiment: str, dims, kappa, sigma, seed: int, **settings) -> dict:
     """The report of a verify_* experiment at one scalar setting and seed."""
     name, check = CHECKS[experiment]
-    params, metrics_out, passed = check(dims, kappa, sigma, scfg, seed, **extras)
+    params, metrics_out, passed = check(dims, kappa, sigma, seed, **settings)
     return make_report(name, params, seed, metrics_out, passed)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from demix import solver
-from demix.cli import CSV_HEADER, SUMMARY_HEADER, main
+from demix.cli import CSV_HEADER, SUMMARY_HEADER, load_config, main
 from demix.metrics import align_source
 from demix.problem import Dimensions, load_instance, make_instance
 from demix.solver import DegenerateIterateError, SolverConfig, run
@@ -42,6 +42,9 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "seeds": [3],
         "output_dir": str(tmp_path / "out"),
     }
+    if overrides.get("experiment", "").startswith("verify_"):
+        # verify_rsc and verify_spectral reject the solver keys they do not read
+        del cfg["eta"], cfg["max_iters"]
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -203,6 +206,14 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
         ({"dims": {"s": 1, "m": 64, "K": 4, "kappa": 3}},
          "dims entries take exactly the keys s, m, K"),
         ({"experiment": "verify_loo", "n_points": 10}, "verify_loo does not read ['n_points']"),
+        # the solver keys a check does not read: verify_loo's runs see no
+        # truth, so they keep no metrics and never stop early
+        ({"eta": 0.2}, "verify_rsc does not read ['eta']"),
+        ({"experiment": "verify_spectral", "max_iters": 60},
+         "verify_spectral does not read ['max_iters']"),
+        ({"experiment": "verify_loo", "stop_tol": 1e-6}, "verify_loo does not read ['stop_tol']"),
+        ({"experiment": "verify_loo", "record_every": 2},
+         "verify_loo does not read ['record_every']"),
         ({"experiment": "verify_loo", "dims": {"s": 1, "m": 200, "K": 4}, "l_set": [0, 5],
           "n_holdout": 4}, "give l_set or n_holdout, not both"),
         # the default m_sweep [400, 1600, 6400] starts below K
@@ -210,6 +221,7 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
          "m_sweep entries must be >= K = 450"),
     ],
     ids=["kappa_list", "sigma_list", "dims_list", "dims_unknown_key", "unread_extra",
+         "rsc_eta", "spectral_max_iters", "loo_stop_tol", "loo_record_every",
          "l_set_with_n_holdout", "default_m_sweep_below_K"],
 )
 def test_verify_setting_usage_errors(tmp_path, capsys, overrides, message):
@@ -218,6 +230,16 @@ def test_verify_setting_usage_errors(tmp_path, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["convergence", "condition_number", "noise_sweep",
+                                        "incoherence", "verify_loo"])
+def test_experiments_take_the_solver_keys_they_read(tmp_path, experiment):
+    keys = {"eta": 0.3, "max_iters": 7, "stop_tol": 1e-9, "record_every": 2}
+    if experiment == "verify_loo":
+        keys = {"eta": 0.3, "max_iters": 7}
+    cfg = load_config(write_config(tmp_path, experiment=experiment, **keys))
+    assert {key: cfg.settings[key] for key in keys} == keys
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -348,7 +348,7 @@ def test_incoherence_measures_at_truth(small_instance):
     P = forward_parts(st.h, st.x, inst.A, inst.B)[0]
     inc_a, inc_b = incoherence_measures(st, inst.truth, inst, alignments, P)
     assert inc_a <= 1e-7
-    want_b = inst.truth.mu / np.sqrt(inst.dims.m)
+    want_b = incoherence_mu(inst.truth, inst.B) / np.sqrt(inst.dims.m)
     assert inc_b == pytest.approx(want_b, rel=1e-6)
 
 

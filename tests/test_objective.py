@@ -11,7 +11,7 @@ from demix.objective import (
     loss,
     residuals,
 )
-from demix.problem import Dimensions, ProblemInstance, ShapeError, make_instance
+from demix.problem import Dimensions, ProblemInstance, ShapeError, forward_parts, make_instance
 
 from conftest import random_state
 from oracles import (
@@ -163,10 +163,15 @@ def _as_real(dh, dx):
     return np.concatenate([dh.real, dh.imag, dx.real, dx.imag])
 
 
+def _curvatures(st, inst):
+    fwd_truth = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
+    return _source_curvatures(st, inst, fwd_truth)
+
+
 def test_hessian_hermitian(small_instance):
     gen = np.random.default_rng(17)
     st = random_state(small_instance.dims, gen)
-    for M in _source_curvatures(st, small_instance):
+    for M in _curvatures(st, small_instance):
         assert M.dtype == float
         assert np.max(np.abs(M - M.T)) <= 1e-12 * max(1.0, np.abs(M).max())
 
@@ -178,7 +183,7 @@ def test_curvature_is_the_wirtinger_hessian_in_real_coordinates(s):
     inst = make_instance(Dimensions(s=s, m=40, K=4), kappa=1.5, sigma=0.2, seed=s)
     st = random_state(inst.dims, gen)
     T = real_to_wirtinger(inst.dims.K)
-    for i, M in enumerate(_source_curvatures(st, inst)):
+    for i, M in enumerate(_curvatures(st, inst)):
         want = (T.conj().T @ wirtinger_hessian(st, inst, i) @ T).real / 2
         assert np.max(np.abs(M - want)) <= 1e-13 * np.abs(want).max()
 
@@ -190,7 +195,7 @@ def test_hessian_clean_coupling_vanishes_at_truth(small_instance):
     inst = small_instance
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     K = inst.dims.K
-    for i, M in enumerate(_source_curvatures(st, inst)):
+    for i, M in enumerate(_curvatures(st, inst)):
         assert np.all(wirtinger_hessian(st, inst, i)[:K, K : 2 * K] == 0)
         h, x = st.h[i], st.x[i]
         for c in (1.0, 1j):
@@ -203,7 +208,7 @@ def test_hessian_quadratic_form_matches_second_differences():
     gen = np.random.default_rng(23)
     inst = make_instance(Dimensions(s=2, m=16, K=3), kappa=1.0, sigma=0.1, seed=77)
     st = random_state(inst.dims, gen)
-    Ms = list(_source_curvatures(st, inst))
+    Ms = list(_curvatures(st, inst))
     for i in range(inst.dims.s):
         dh1 = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         dx1 = gen.standard_normal(3) + 1j * gen.standard_normal(3)
@@ -225,7 +230,7 @@ def test_quadratic_expansion_cubic_remainder():
     dx = gen.standard_normal((1, 2)) + 1j * gen.standard_normal((1, 2))
     Gh, Gx = gradient_arrays(st, inst)
     lin = 2.0 * float(np.real(np.vdot(Gh, dh) + np.vdot(Gx, dx)))
-    (M,) = _source_curvatures(st, inst)
+    (M,) = _curvatures(st, inst)
     v = _as_real(dh[0], dx[0])
     quad = v @ M @ v
     f0 = loss(st, inst)

@@ -215,8 +215,9 @@ def test_mu_is_the_tight_constant(small_instance):
                 abs(np.vdot(inst.B[j], inst.truth.h[i]))
                 / np.linalg.norm(inst.truth.h[i]),
             )
-    assert inst.truth.mu == pytest.approx(np.sqrt(m) * worst, rel=1e-12)
-    assert 1.0 <= inst.truth.mu <= np.sqrt(inst.dims.K) + 1e-12
+    mu = demix.incoherence_mu(inst.truth, inst.B)
+    assert mu == pytest.approx(np.sqrt(m) * worst, rel=1e-12)
+    assert 1.0 <= mu <= np.sqrt(inst.dims.K) + 1e-12
 
 
 def test_snr_db_formula(noisy_instance):
@@ -270,7 +271,7 @@ def _assert_instances_equal(a, b):
         assert a.truth.x.tobytes() == b.truth.x.tobytes()
         assert a.truth.d0 == b.truth.d0
         assert a.truth.kappa == b.truth.kappa
-        assert a.truth.mu == b.truth.mu
+        assert instance_metadata(a)["mu"] == instance_metadata(b)["mu"]
 
 
 def test_save_load_round_trip_bit_exact(tmp_path, noisy_instance):

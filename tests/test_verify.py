@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from demix import _rng, metrics, verify
+from demix import _rng, metrics, objective, verify
 from demix.objective import DemixState, _source_curvatures
 from demix.problem import (
     Dimensions,
@@ -109,7 +109,7 @@ def test_population_hessian_matches_design_average():
         A = sample_design(dims, sk)
         y, e = synthesize_measurements(truth, A, B, 0.0, sk)
         inst = ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=0.0, seed=sk, truth=truth)
-        (Ms[t],) = _source_curvatures(state, inst)
+        (Ms[t],) = _source_curvatures(state, inst, y)  # sigma = 0: y is the truth's forward map
     T = real_to_wirtinger(dims.K)
     pop = (T.conj().T @ population_hessian(truth) @ T).real / 2
     se = Ms.std(axis=0, ddof=1) / np.sqrt(n_trials)
@@ -209,6 +209,29 @@ def test_check_rsc_input_validation(small_instance):
     blind = dataclasses.replace(small_instance, truth=None)
     with pytest.raises(ValueError):
         check_rsc(blind, n_points=2, n_dirs=2, delta=0.1, rng_seed=1)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, float("nan")])
+def test_check_rsc_rejects_a_radius_that_is_not_positive(small_instance, delta):
+    # delta = 0 would spend the whole draw budget on an empty ball, and a
+    # negative delta would draw with a negative radius
+    with pytest.raises(ValueError, match="delta > 0"):
+        check_rsc(small_instance, n_points=2, n_dirs=2, delta=delta, rng_seed=1)
+
+
+@pytest.mark.parametrize("n_points", [1, 4])
+def test_check_rsc_forms_the_truth_forward_map_once(monkeypatch, n_points):
+    # one forward pass per sampled point, plus one for the truth shared by all
+    inst = make_instance(Dimensions(s=2, m=200, K=4), kappa=1.0, sigma=0.0, seed=2)
+    calls = []
+
+    def counted(forward):
+        return lambda *a: calls.append(1) or forward(*a)
+
+    monkeypatch.setattr(objective, "forward_parts", counted(objective.forward_parts))
+    monkeypatch.setattr(verify, "forward_parts", counted(verify.forward_parts))
+    check_rsc(inst, n_points=n_points, n_dirs=2, delta=0.1, rng_seed=1)
+    assert len(calls) == n_points + 1
 
 
 # -------------------------------------------------- spectral concentration
