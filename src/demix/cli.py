@@ -28,7 +28,7 @@ VERIFY_EXPERIMENTS = tuple(verify.CHECKS)
 # defaults: SolverConfig's fields, or a verify_* check's keyword-only parameters.
 _READS = dict.fromkeys(("convergence", "condition_number", "noise_sweep", "incoherence"),
                        asdict(SolverConfig()))
-_READS.update((experiment, verify.check_extras(experiment)) for experiment in VERIFY_EXPERIMENTS)
+_READS.update((name, dict(check.__kwdefaults__)) for name, check in verify.CHECKS.items())
 EXPERIMENTS = tuple(_READS)
 
 CSV_HEADER = "iter,loss,relative_error,dist,inc_a,inc_b,max_alignment_ratio,errors"
@@ -153,6 +153,9 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
     if any(l >= dims[0].m for l in settings.get("l_set", ())):
         raise UsageError(f"l_set entries must be < m = {dims[0].m}")
+    if experiment == "verify_rsc" and dims[0].m < 2:
+        raise UsageError(f"verify_rsc needs m >= 2, got m={dims[0].m}: "
+                         "check_rsc's side conditions divide by log m")
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise UsageError(f"output_dir must be a string, got {output_dir!r}")
@@ -240,7 +243,8 @@ def _solve_job(scfg: SolverConfig, outdir: Path, dims, kappa, sigma, seed) -> di
            "snr_db": None, "final_relative_error": None, "iters": None, "error": None}
     try:
         inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
-        res["snr_db"] = None if inst.sigma == 0 else snr_db(inst.y, inst.e)
+        # blank when y carries no noise: sigma = 0, or noise that rounds away against y
+        res["snr_db"] = snr_db(inst.y, inst.e) if inst.e.any() else None
         _, records = run(inst, scfg)
     except DivergenceError as ex:
         msg = f"diverged at iteration {ex.iteration}"

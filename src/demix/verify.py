@@ -64,7 +64,6 @@ class RscReport:
     passed: bool
     point_failures: int = 0
     direction_failures: int = 0
-    delta: float = 0.0
     sampling_failures: int = dataclasses.field(init=False)
 
     def __post_init__(self):
@@ -202,7 +201,6 @@ def check_rsc(
                     and not sum(failures.values())),
         point_failures=failures["point"],
         direction_failures=failures["direction"],
-        delta=float(delta),
     )
 
 
@@ -231,17 +229,18 @@ def spectral_concentration(
     return devs
 
 
-def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) -> dict:
+def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig.eta,
+                               max_iters=SolverConfig.max_iters) -> dict:
     """Main vs leave-one-out runs of `run`, reporting aligned proximity.
 
     The main sequence is `run` on the instance; leave-one-out sequence l is
     `run` on the instance with row l of B and y set to zero, which deletes
-    measurement l from the back-projection, the loss and both gradients. At
-    every iteration the main iterate is aligned to the truth and each
-    leave-one-out iterate onto that aligned main iterate; the report carries
-    per-iteration max-over-l proximity. The runs see no truth, so they keep
-    no per-record metrics and ignore stop_tol; a diverging run raises
-    DivergenceError.
+    measurement l from the back-projection, the loss and both gradients.
+    Each run takes max_iters steps of size eta. At every iteration the main
+    iterate is aligned to the truth and each leave-one-out iterate onto that
+    aligned main iterate; the report carries per-iteration max-over-l
+    proximity. The runs see no truth, so they never stop early and keep only
+    their first and last records; a diverging run raises DivergenceError.
     """
     truth = inst.truth
     if truth is None:
@@ -254,7 +253,8 @@ def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) 
         if not 0 <= l < m:
             raise IndexError(f"held-out index {l} outside [0, {m})")
 
-    T = cfg.max_iters
+    T = max_iters
+    cfg = SolverConfig(eta=eta, max_iters=T, record_every=T)
     per_l = np.empty((T + 1, len(l_set)))
     dist_truth = np.empty(T + 1)
     ref_h = np.empty((T + 1, *truth.h.shape), dtype=complex)
@@ -295,43 +295,20 @@ def leave_one_out_trajectories(inst: ProblemInstance, cfg: SolverConfig, l_set) 
     }
 
 
-def _jsonable(v):
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, (complex, np.complexfloating)):
-        return {"re": float(v.real), "im": float(v.imag)}
-    if isinstance(v, np.ndarray):
-        return _jsonable(v.tolist()) if v.ndim else _jsonable(v.item())
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+def _plain(v):
+    """json.dump's fallback for the report values JSON has no type for."""
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
     if dataclasses.is_dataclass(v):
-        return _jsonable(dataclasses.asdict(v))
-    return str(v)
-
-
-def make_report(check: str, params: dict, seed: int, metrics_out: dict, passed: bool) -> dict:
-    """Normalized report dict; its one note is the advisory noise-model note."""
-    return {
-        "check": check,
-        "params": _jsonable(params),
-        "seed": int(seed),
-        "metrics": _jsonable(metrics_out),
-        "pass": bool(passed),
-        "notes": [NOISE_MODEL_NOTE],
-    }
+        return dataclasses.asdict(v)
+    raise TypeError(f"a report cannot hold {type(v).__name__} {v!r}")
 
 
 def write_report(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
 
 
@@ -339,10 +316,8 @@ def _rsc(dims, kappa, sigma, seed, *, n_points=50, n_dirs=20, delta=0.1):
     """check_rsc on the instance of this setting and seed."""
     inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
     rep = check_rsc(inst, n_points=n_points, n_dirs=n_dirs, delta=delta, rng_seed=seed)
-    params = {"dims": dims, "kappa": kappa, "sigma": sigma, "delta": rep.delta}
-    fields = dataclasses.asdict(rep)
-    metrics_out = {k: v for k, v in fields.items() if k not in ("passed", "delta")}
-    return params, metrics_out, rep.passed
+    metrics_out = {k: v for k, v in dataclasses.asdict(rep).items() if k != "passed"}
+    return {"delta": delta}, metrics_out, rep.passed
 
 
 def _loo(dims, kappa, sigma, seed, *, l_set=(), n_holdout=8, loo_factor=0.1,
@@ -356,11 +331,10 @@ def _loo(dims, kappa, sigma, seed, *, l_set=(), n_holdout=8, loo_factor=0.1,
         gen = _rng.stream(seed, _rng.TAG_AUX)
         count = min(n_holdout, dims.m)
         l_set = sorted(int(v) for v in gen.choice(dims.m, size=count, replace=False))
-    res = leave_one_out_trajectories(inst, SolverConfig(eta=eta, max_iters=max_iters), l_set)
+    res = leave_one_out_trajectories(inst, l_set, eta=eta, max_iters=max_iters)
     max_proximity = float(np.max(res["series"]))
     passed = bool(res["dist_initial"] > 0 and max_proximity < loo_factor * res["dist_initial"])
-    params = {"dims": dims, "kappa": kappa, "sigma": sigma, "eta": eta,
-              "max_iters": max_iters, "l_set": l_set, "loo_factor": loo_factor}
+    params = {"eta": eta, "max_iters": max_iters, "l_set": l_set, "loo_factor": loo_factor}
     metrics_out = {"series": res["series"], "dist_initial": res["dist_initial"],
                    "max_proximity": max_proximity, "degenerate": res["degenerate"]}
     return params, metrics_out, passed
@@ -377,29 +351,21 @@ def _spectral(dims, kappa, sigma, seed, *, m_sweep=(400, 1600, 6400), n_trials=2
                       "max_deviation": float(devs.max())})
     means = [row["mean_deviation"] for row in table]
     passed = all(b < a for a, b in zip(means, means[1:]))
-    params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "kappa": kappa,
-              "sigma": sigma, "n_trials": n_trials}
+    params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "n_trials": n_trials}
     return params, {"table": table}, passed
 
 
-# verify_* experiment -> (report name, check). A check takes the scalar setting
-# (dims, kappa, sigma) and the seed, and returns the report's params, metrics
-# and pass flag. Its keyword-only parameters are the other config keys the
-# experiment reads, and their defaults are those keys' defaults.
-CHECKS = {
-    "verify_rsc": ("rsc", _rsc),
-    "verify_loo": ("loo", _loo),
-    "verify_spectral": ("spectral", _spectral),
-}
-
-
-def check_extras(experiment: str) -> dict:
-    """Keys a verify_* experiment reads besides kappa, sigma and seeds, with defaults."""
-    return dict(CHECKS[experiment][1].__kwdefaults__)
+# verify_* experiment -> its check. A check takes the scalar setting (dims,
+# kappa, sigma) and the seed, and returns its own params, metrics and pass flag,
+# which run_check forms into the report. Its keyword-only parameters are the
+# other config keys the experiment reads, with those keys' defaults.
+CHECKS = {"verify_rsc": _rsc, "verify_loo": _loo, "verify_spectral": _spectral}
 
 
 def run_check(experiment: str, dims, kappa, sigma, seed: int, **settings) -> dict:
-    """The report of a verify_* experiment at one scalar setting and seed."""
-    name, check = CHECKS[experiment]
-    params, metrics_out, passed = check(dims, kappa, sigma, seed, **settings)
-    return make_report(name, params, seed, metrics_out, passed)
+    """The report of a verify_* experiment at one scalar setting and seed; the
+    check's own params overlay the setting's (verify_spectral's {s, K} dims)."""
+    params, metrics_out, passed = CHECKS[experiment](dims, kappa, sigma, seed, **settings)
+    return {"check": experiment.removeprefix("verify_"), "seed": seed, "pass": passed,
+            "params": {"dims": dims, "kappa": kappa, "sigma": sigma, **params},
+            "metrics": metrics_out, "notes": [NOISE_MODEL_NOTE]}

@@ -218,7 +218,7 @@ def test_criterion_11_leave_one_out_stays_near_main_run():
     l_set = sorted(
         int(v) for v in _rng.stream(5, _rng.TAG_AUX).choice(800, size=8, replace=False)
     )
-    out = leave_one_out_trajectories(inst, SolverConfig(eta=0.1, max_iters=150), l_set)
+    out = leave_one_out_trajectories(inst, l_set, eta=0.1, max_iters=150)
     bound = 0.1 * out["dist_initial"]
     print(
         f"held-out indices {l_set}; max aligned proximity {out['series'].max():.5f}, "

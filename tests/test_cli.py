@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demix import solver
+from demix import solver, verify
 from demix.cli import CSV_HEADER, SUMMARY_HEADER, load_config, main
 from demix.metrics import align_source
 from demix.problem import Dimensions, load_instance, make_instance
@@ -164,13 +164,34 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     "key, value",
     [("stop_tol", -1), ("kappa", 0.5), ("sigma", -1), ("eta", "abc"), ("max_iters", 1.5),
      # True == 1 in Python, and a null output_dir would name a directory "None"
-     ("schema_version", True), ("output_dir", None), ("output_dir", 3)],
+     ("schema_version", True), ("output_dir", None), ("output_dir", 3), ("seeds", [])],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, **{key: value})
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "config must be a JSON object"),
+     ('{"schema_version": 1, "experiment": "convergence"}', "config requires dims")],
+    ids=["not_an_object", "no_dims"],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_output_dir_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "out").write_text("not a directory", encoding="utf-8")
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "out") in err and err.count("\n") == 1
 
 
 def test_run_rejects_dimension_lists(tmp_path):
@@ -205,6 +226,9 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
          "verify takes scalar dims/kappa/sigma"),
         ({"dims": {"s": 1, "m": 64, "K": 4, "kappa": 3}},
          "dims entries take exactly the keys s, m, K"),
+        ({"dims": []}, "dims list is empty"),
+        ({"dims": {"s": 1, "m": 1, "K": 1}}, "verify_rsc needs m >= 2, got m=1"),
+        ({"experiment": "verify_loo", "l_set": [0, 64]}, "l_set entries must be < m = 64"),
         ({"experiment": "verify_loo", "n_points": 10}, "verify_loo does not read ['n_points']"),
         # the solver keys a check does not read: verify_loo's runs see no
         # truth, so they keep no metrics and never stop early
@@ -220,7 +244,8 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
         ({"experiment": "verify_spectral", "dims": {"s": 1, "m": 500, "K": 450}, "n_trials": 1},
          "m_sweep entries must be >= K = 450"),
     ],
-    ids=["kappa_list", "sigma_list", "dims_list", "dims_unknown_key", "unread_extra",
+    ids=["kappa_list", "sigma_list", "dims_list", "dims_unknown_key", "dims_empty",
+         "rsc_m_below_2", "l_set_at_m", "unread_extra",
          "rsc_eta", "spectral_max_iters", "loo_stop_tol", "loo_record_every",
          "l_set_with_n_holdout", "default_m_sweep_below_K"],
 )
@@ -336,6 +361,24 @@ def test_sweep_finishes_after_a_failing_seed(tmp_path, monkeypatch, capsys):
     assert summary[2] == clean_summary[2]
 
 
+def test_sweep_leaves_snr_blank_when_the_noise_rounds_away(tmp_path):
+    # at sigma = 1e-20 the noise rounds away against y, so the instance is
+    # noiseless: its job runs as the sigma = 0 one and has no SNR either
+    noise = make_instance(Dimensions(s=2, m=64, K=4), sigma=1e-20, seed=1).e
+    assert noise.size == 64 and not noise.any()
+    cfg = write_config(tmp_path, experiment="noise_sweep", dims={"s": 2, "m": 64, "K": 4},
+                       sigma=[0, 1e-20, 0.1], max_iters=20, seeds=[1])
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    name = "trajectory_K4_s2_m64_kappa1_sigma{}_seed1.csv"
+    assert (out / name.format("1e-20")).read_bytes() == (out / name.format("0")).read_bytes()
+    summary = (out / "summary_noise_sweep.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in summary[1:]]
+    assert [row[5] for row in rows] == ["0.0", "1e-20", "0.1"]
+    assert [row[7] for row in rows[:2]] == ["", ""] and float(rows[2][7]) > 0
+    assert rows[1][8:] == rows[0][8:]
+
+
 def test_solver_keys_default_when_absent(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -378,16 +421,25 @@ def test_verify_rsc_report(tmp_path):
     assert report["metrics"]["samples_tested"] == 50
 
 
-def test_verify_job_failure_is_an_error_line(tmp_path, capsys):
-    # check_rsc's side conditions divide by log m, so m = 1 is refused
-    cfg = write_config(tmp_path, experiment="verify_rsc", dims={"s": 1, "m": 1, "K": 1})
+def test_verify_job_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a check that raises fails its own seed only: one error line and no
+    # report for it, exit code 1, and the next seed still runs
+    rsc = verify.CHECKS["verify_rsc"]
+
+    def fails_at_seed_3(dims, kappa, sigma, seed, **settings):
+        if seed == 3:
+            raise ValueError("no usable draw at this seed")
+        return rsc(dims, kappa, sigma, seed, **settings)
+
+    monkeypatch.setitem(verify.CHECKS, "verify_rsc", fails_at_seed_3)
+    cfg = write_config(tmp_path, experiment="verify_rsc", dims={"s": 1, "m": 400, "K": 4},
+                       n_points=2, n_dirs=2, seeds=[3, 4])
     assert main(["verify", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: seed 3 (report_verify_rsc_seed3.json): "
-        "check_rsc needs m >= 2, got m=1: its side conditions divide by log m\n"
+        "error: seed 3 (report_verify_rsc_seed3.json): no usable draw at this seed\n"
     )
-    assert not any((tmp_path / "out").iterdir())
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report_verify_rsc_seed4.json"]
 
 
 def test_verify_loo_divergence_is_an_error_line(tmp_path, capsys):

@@ -189,6 +189,17 @@ def test_loss_gauge_invariance_and_phase_commutation(small_instance):
 # ------------------------------------------------------------------- full runs
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("eta", 0.0, "eta must be > 0"), ("max_iters", 0, "max_iters must be >= 1"),
+     ("record_every", 0, "record_every must be >= 1"),
+     ("stop_tol", -1e-9, "stop_tol must be >= 0")],
+)
+def test_solver_config_rejects_out_of_range_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{field: value})
+
+
 def test_run_record_invariants(small_instance):
     st, recs = run(small_instance, SolverConfig(eta=0.2, max_iters=40, record_every=1))
     iters = [r.iter for r in recs]

@@ -26,7 +26,7 @@ from demix.verify import (
     RscReport,
     check_rsc,
     leave_one_out_trajectories,
-    make_report,
+    run_check,
     spectral_concentration,
     write_report,
 )
@@ -184,6 +184,32 @@ def test_check_rsc_draws_are_bounded_by_one_budget(monkeypatch):
     assert rep.passed is False
 
 
+def test_check_rsc_charges_a_pair_redraw_4s_draws(monkeypatch):
+    # at delta = 0.5 this check makes 7 pair attempts for its 5 directions,
+    # so it redraws 2 pairs; its 606 draws are the 2s (n_points + 2 n_dirs) =
+    # 52 first ones, 2 * 4s = 16 for the pairs and 538 for single points. The
+    # smallest budget that pays every redraw is then 538 + 2 * 4s = 554
+    inst = make_instance(Dimensions(s=2, m=400, K=6), kappa=1.0, sigma=0.05, seed=1)
+    draw, align = _rng.complex_standard_normal, metrics.align_source
+    calls = {"draw": 0, "pair": 0}
+
+    def counted(key, f):
+        return lambda *a: calls.__setitem__(key, calls[key] + 1) or f(*a)
+
+    monkeypatch.setattr(_rng, "complex_standard_normal", counted("draw", draw))
+    monkeypatch.setattr(metrics, "align_source", counted("pair", align))
+    rep = check_rsc(inst, 3, 5, 0.5, 1)
+    assert calls == {"draw": 606, "pair": 7}
+    assert rep.sampling_failures == 0 and rep.passed is True
+    failures = {}
+    for budget in (554, 553):
+        monkeypatch.setattr(verify, "_REJECTION_BUDGET", budget)
+        rep = check_rsc(inst, 3, 5, 0.5, 1)
+        failures[budget] = (rep.point_failures, rep.direction_failures)
+    # the last redraw is a point's, so one short of 554 keeps one rejected point
+    assert failures == {554: (0, 0), 553: (1, 0)}
+
+
 def test_check_rsc_memory_is_a_few_source_designs():
     # the working set is one source's (m, 2K) Jacobian and (4K, 4K)
     # curvature beside the (m, s) forward parts, so the peak stays a few of
@@ -291,7 +317,7 @@ def test_deleting_one_measurement_from_backprojection(small_instance):
 
 def test_leave_one_out_trajectories_report():
     inst = make_instance(Dimensions(s=2, m=48, K=3), kappa=1.5, sigma=0.1, seed=5)
-    out = leave_one_out_trajectories(inst, SolverConfig(eta=0.1, max_iters=5), [0, 7])
+    out = leave_one_out_trajectories(inst, [0, 7], eta=0.1, max_iters=5)
     assert sorted(out.keys()) == [
         "degenerate", "dist_initial", "dist_truth", "iters",
         "l_set", "per_l", "series",
@@ -309,7 +335,7 @@ def test_leave_one_out_matches_runs_on_deleted_measurement():
     inst = make_instance(Dimensions(s=2, m=48, K=3), kappa=1.5, sigma=0.1, seed=5)
     cfg = SolverConfig(eta=0.1, max_iters=20)
     l_set = [0, 7, 47]
-    out = leave_one_out_trajectories(inst, cfg, l_set)
+    out = leave_one_out_trajectories(inst, l_set, eta=cfg.eta, max_iters=cfg.max_iters)
     main = []
     run(inst, cfg, on_iterate=lambda t, st: main.append(st))
     truth = inst.truth
@@ -337,21 +363,20 @@ def test_leave_one_out_matches_runs_on_deleted_measurement():
 
 
 def test_leave_one_out_validation(small_instance):
-    cfg = SolverConfig(eta=0.1, max_iters=2)
     with pytest.raises(ValueError):
-        leave_one_out_trajectories(small_instance, cfg, [])
+        leave_one_out_trajectories(small_instance, [], eta=0.1, max_iters=2)
     with pytest.raises(IndexError):
-        leave_one_out_trajectories(small_instance, cfg, [small_instance.dims.m])
+        leave_one_out_trajectories(small_instance, [small_instance.dims.m], eta=0.1, max_iters=2)
     with pytest.raises(IndexError):
-        leave_one_out_trajectories(small_instance, cfg, [-1])
+        leave_one_out_trajectories(small_instance, [-1], eta=0.1, max_iters=2)
     blind = dataclasses.replace(small_instance, truth=None)
     with pytest.raises(ValueError):
-        leave_one_out_trajectories(blind, cfg, [0])
+        leave_one_out_trajectories(blind, [0], eta=0.1, max_iters=2)
 
 
 def test_leave_one_out_single_measurement_is_degenerate():
     inst = make_instance(Dimensions(s=1, m=1, K=1), kappa=1.0, sigma=0.0, seed=1)
-    out = leave_one_out_trajectories(inst, SolverConfig(eta=0.1, max_iters=2), [0])
+    out = leave_one_out_trajectories(inst, [0], eta=0.1, max_iters=2)
     assert out["degenerate"] is True
     assert np.all(np.isfinite(out["series"]))
 
@@ -359,31 +384,43 @@ def test_leave_one_out_single_measurement_is_degenerate():
 # -------------------------------------------------------------------- reports
 
 
-def test_make_report_fields_and_note():
-    rep = make_report(
-        "curvature",
-        {"n": np.int64(3), "z": 1.5 + 0.5j},
-        seed=11,
-        metrics_out={"ratio": np.float64(0.4), "flag": np.bool_(True)},
-        passed=True,
-    )
-    assert rep["check"] == "curvature"
+def _toy_check(dims, kappa, sigma, seed, *, n=3):
+    params = {"n": np.int64(n), "z": 1.5 + 0.5j, "dims": {"s": dims.s}}
+    metrics_out = {"ratio": np.float64(0.1), "flag": np.bool_(True), "v": np.arange(3)}
+    return params, metrics_out, seed % 2 == 1
+
+
+def test_run_check_fields_and_note(monkeypatch):
+    # a new verify_* experiment is one CHECKS row; run_check names the report
+    # after it and lays the check's params over the setting's
+    monkeypatch.setitem(verify.CHECKS, "verify_toy", _toy_check)
+    rep = run_check("verify_toy", Dimensions(s=2, m=8, K=2), 1.5, 0.1, 11, n=4)
+    assert set(rep) == {"check", "params", "seed", "metrics", "pass", "notes"}
+    assert rep["check"] == "toy"
     assert rep["pass"] is True
     assert rep["seed"] == 11
-    assert rep["params"]["n"] == 3 and isinstance(rep["params"]["n"], int)
-    assert rep["params"]["z"] == {"re": 1.5, "im": 0.5}
-    assert rep["metrics"]["ratio"] == 0.4
-    assert rep["metrics"]["flag"] is True
+    assert rep["params"] == {"dims": {"s": 2}, "kappa": 1.5, "sigma": 0.1, "n": 4, "z": 1.5 + 0.5j}
+    assert rep["metrics"]["ratio"] == 0.1
     assert rep["notes"] == [NOISE_MODEL_NOTE]
 
 
-def test_write_report_sorted_json_with_newline(tmp_path):
-    rep = make_report("x", {"b": 1, "a": np.arange(3)}, 2, {"v": 0.5}, False)
+def test_write_report_sorted_json_with_newline(tmp_path, monkeypatch):
+    monkeypatch.setitem(verify.CHECKS, "verify_toy", _toy_check)
+    rep = run_check("verify_toy", Dimensions(s=2, m=8, K=2), 1.5, 0.1, 2)
+    rep["metrics"]["setting"] = Dimensions(s=2, m=8, K=2)
+    rep["metrics"]["w"] = np.complex128(-2.0j)
     path = tmp_path / "report.json"
     write_report(rep, path)
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed["pass"] is False
-    assert parsed["params"]["a"] == [0, 1, 2]
+    assert parsed["params"] == {"dims": {"s": 2}, "kappa": 1.5, "sigma": 0.1, "n": 3,
+                                "z": {"re": 1.5, "im": 0.5}}
+    assert parsed["metrics"] == {"ratio": 0.1, "flag": True, "v": [0, 1, 2],
+                                 "setting": {"s": 2, "m": 8, "K": 2},
+                                 "w": {"re": 0.0, "im": -2.0}}
+    assert type(parsed["params"]["n"]) is int and parsed["metrics"]["flag"] is True
     assert text == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="a report cannot hold set"):
+        write_report({"l_set": {1, 2}}, tmp_path / "bad.json")
