@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemInstance, ShapeError, forward_parts
+from .problem import ProblemInstance, ShapeError, combine_rows, forward_parts
 
 
 @dataclass
@@ -59,7 +59,7 @@ def _gradient_full(state: DemixState, inst: ProblemInstance):
     r = fwd - inst.y
     # g_h_i = sum_j r_j (a_ij^* x_i) b_j ; g_x_i = sum_j conj(r_j) (b_j^* h_i) a_ij
     W = r[None, :] * np.conj(Q)
-    Gh = W @ inst.B
+    Gh = combine_rows(W, inst.B)
     V = np.conj(r)[None, :] * P.T
     Gx = np.matmul(V[:, None, :], inst.A)[:, 0, :]
     return Gh, Gx, r, P, Q

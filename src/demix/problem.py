@@ -2,7 +2,9 @@
 
 Measurement model: y_j = sum_i b_j^* h_i x_i^* a_ij + e_j for j = 0..m-1,
 with b_j the j-th row of the first K columns of the unitary m-point DFT,
-a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e.
+a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e. The products with the
+rows b_j are taken by FFT when B is an array make_dft_rows returned (or
+load_instance checked), and by matmul for any other B.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +28,11 @@ _FLAG_TRUTH = 1
 _FLAG_NOISE = 2
 _MASK64 = (1 << 64) - 1
 _HEADER_BYTES = 60  # magic, the packed fields of save_instance, convention tag
+_DFT_CHECK_BLOCK = 2**12  # entries of B per block that load_instance compares
+
+# id -> weak reference of each live array recorded as DFT rows; an entry is
+# dropped when its array dies, so a reused id is never mistaken for it
+_DFT_ROWS: dict[int, weakref.ref] = {}
 
 
 class DimensionError(ValueError):
@@ -118,17 +126,46 @@ def check_instance(inst: ProblemInstance) -> None:
         raise ShapeError(f"truth must be (s, K)={(s, K)}, got {inst.truth.h.shape}")
 
 
+def _dft_block(lo: int, hi: int, m: int, K: int) -> np.ndarray:
+    """Rows lo..hi-1 of make_dft_rows(m, K); every entry is computed alone,
+    so a block holds the same bits as the same rows of the whole matrix."""
+    j = np.arange(lo, hi)[:, None]
+    k = np.arange(K)[None, :]
+    return np.exp(-2j * np.pi * (j * k) / m) / np.sqrt(m)
+
+
+def _record_dft_rows(B: np.ndarray) -> np.ndarray:
+    """Make B read-only and record it, by identity, as DFT rows."""
+    B.flags.writeable = False
+    key = id(B)
+
+    def forget(ref):
+        if _DFT_ROWS.get(key) is ref:
+            del _DFT_ROWS[key]
+
+    _DFT_ROWS[key] = weakref.ref(B, forget)
+    return B
+
+
+def is_dft_rows(B: np.ndarray) -> bool:
+    """Whether B is a read-only array make_dft_rows returned or load_instance
+    checked. Copies, slices and edited copies of such an array are not."""
+    ref = _DFT_ROWS.get(id(B))
+    return ref is not None and ref() is B and not B.flags.writeable
+
+
 def make_dft_rows(m: int, K: int) -> np.ndarray:
     """Rows b_j of the first K columns of the unitary m-point DFT.
 
     b_j[k] = exp(-2*pi*i*j*k/m) / sqrt(m), zero-based j and k. The rows
-    satisfy sum_j b_j b_j^* = I_K and ||b_j||^2 = K/m.
+    satisfy sum_j b_j b_j^* = I_K and ||b_j||^2 = K/m. The array is
+    read-only and recorded by identity, so forward_parts and combine_rows
+    take their products with it by FFT; a copy, a slice or an edited copy
+    is an ordinary array and takes the matmul.
     """
     if m < K:
         raise DimensionError(f"m >= K required, got m={m}, K={K}")
-    j = np.arange(m)[:, None]
-    k = np.arange(K)[None, :]
-    return np.exp(-2j * np.pi * (j * k) / m) / np.sqrt(m)
+    return _record_dft_rows(_dft_block(0, m, m, K))
 
 
 def sample_design(dims: Dimensions, rng_seed: int) -> np.ndarray:
@@ -174,11 +211,24 @@ def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
 
     This is the single arithmetic path shared by synthesis, residual and
     gradient evaluation, so state == truth reproduces y - e bit for bit.
+    For B from make_dft_rows, column i of P is the unitary inverse DFT of
+    h_i zero-padded to length m, formed as a contiguous (s, m) array whose
+    transposed view is returned; any other B takes the matmul.
     """
-    P = np.conj(B @ np.conj(H).T)  # conj(B) is never formed
+    if is_dft_rows(B):
+        P = np.fft.ifft(H, n=B.shape[0], axis=1, norm="ortho").T
+    else:
+        P = np.conj(B @ np.conj(H).T)  # conj(B) is never formed
     Q = np.matmul(A, np.conj(X)[:, :, None])[:, :, 0]
     fwd = np.sum(P.T * Q, axis=0)
     return P, Q, fwd
+
+
+def combine_rows(W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """W @ B, the (s, K) sums sum_j W[i, j] b_j; by FFT for B from make_dft_rows."""
+    if is_dft_rows(B):
+        return np.fft.fft(W, axis=1, norm="ortho")[:, : B.shape[1]]
+    return W @ B
 
 
 def synthesize_measurements(
@@ -287,11 +337,28 @@ def save_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n")
 
 
+def _check_dft_rows(B: np.ndarray, path) -> None:
+    """Reject a loaded B whose bytes are not make_dft_rows', block by block,
+    so the check never holds a second copy of B."""
+    m, K = B.shape
+    rows = max(1, _DFT_CHECK_BLOCK // K)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        if B[lo:hi].tobytes() != _dft_block(lo, hi, m, K).tobytes():
+            raise ValueError(
+                f"instance file {path} holds a B that is not the first {K} columns "
+                f"of the unitary {m}-point DFT (rows {lo}..{hi - 1} differ)"
+            )
+
+
 def load_instance(path) -> ProblemInstance:
     """Read a container written by save_instance; its size must match its header.
 
     The payload is read straight into one array, which the instance's arrays
-    are views of, so loading never holds the file twice.
+    are views of, so loading never holds the file twice. B must be the bytes
+    make_dft_rows gives for the header's m and K, else ValueError; it is
+    then read-only and recorded as DFT rows, so the loaded instance takes
+    the FFT path as a generated one does.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
@@ -329,13 +396,15 @@ def load_instance(path) -> ProblemInstance:
         name: part.reshape(shape)
         for (name, shape), part in zip(shapes.items(), np.split(payload, ends[:-1]))
     }
+    dims = Dimensions(s=s, m=m, K=K)  # rejects K = 0 before the check divides by K
+    _check_dft_rows(arrays["B"], path)
     truth = None
     if flags & _FLAG_TRUTH:
         truth = GroundTruth.from_pairs(arrays["h"], arrays["x"])
     return ProblemInstance(
-        dims=Dimensions(s=s, m=m, K=K),
+        dims=dims,
         A=arrays["A"],
-        B=arrays["B"],
+        B=_record_dft_rows(arrays["B"]),
         y=arrays["y"],
         e=arrays.get("e", np.zeros(0, dtype=complex)),
         sigma=sigma,

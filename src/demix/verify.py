@@ -236,6 +236,9 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
     The main sequence is `run` on the instance; leave-one-out sequence l is
     `run` on the instance with row l of B and y set to zero, which deletes
     measurement l from the back-projection, the loss and both gradients.
+    That zeroed-row copy of B is an ordinary array, so these runs take the
+    matmul path for P and Gh; the main run, on make_dft_rows' B, takes the
+    FFT path (see problem.forward_parts).
     Each run takes max_iters steps of size eta. At every iteration the main
     iterate is aligned to the truth and each leave-one-out iterate onto that
     aligned main iterate; the report carries per-iteration max-over-l

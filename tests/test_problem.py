@@ -1,5 +1,6 @@
 """Instance generation: design properties, noise model, serialization."""
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demix
-from demix import _rng
-from demix.objective import DemixState, residuals
+from demix import _rng, problem
+from demix.objective import DemixState, _gradient_full, residuals
 from demix.problem import (
     CONVENTION,
     Dimensions,
@@ -20,8 +21,10 @@ from demix.problem import (
     ProblemInstance,
     ShapeError,
     check_instance,
+    combine_rows,
     forward_parts,
     instance_metadata,
+    is_dft_rows,
     load_instance,
     make_dft_rows,
     make_instance,
@@ -29,7 +32,9 @@ from demix.problem import (
     sample_ground_truth,
     save_instance,
     snr_db,
+    synthesize_measurements,
 )
+from demix.solver import SolverConfig, run
 
 import oracles
 from oracles import naive_forward
@@ -64,6 +69,82 @@ def test_dft_sign_convention_pinned():
 def test_dft_rejects_m_smaller_than_k():
     with pytest.raises(DimensionError):
         make_dft_rows(4, 5)
+
+
+# ------------------------------------------------------------- DFT-row path
+
+
+def _complex(gen, shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def test_dft_rows_are_read_only_and_take_the_fft_path():
+    B = make_dft_rows(7, 3)
+    assert not B.flags.writeable and is_dft_rows(B)
+    with pytest.raises(ValueError):
+        B[0, 0] = 0
+    key = id(make_dft_rows(5, 2))  # recorded, then dropped as the array dies
+    assert key not in problem._DFT_ROWS
+
+
+def _zeroed_row(B):
+    C = B.copy()
+    C[3] = 0
+    return C
+
+
+def _made_writeable(B):
+    B.flags.writeable = True
+    return B
+
+
+@pytest.mark.parametrize(
+    "other",
+    [np.copy, lambda B: B[:6], lambda B: B[:, :2], lambda B: np.delete(B, 3, axis=0),
+     _zeroed_row, _made_writeable],
+    ids=["copy", "row-slice", "column-slice", "delete", "zeroed-row", "made-writeable"],
+)
+def test_any_other_b_takes_the_matmul_path(other):
+    B = other(make_dft_rows(8, 3))
+    assert not is_dft_rows(B)
+    m, K = B.shape
+    gen = np.random.default_rng(3)
+    H, X = _complex(gen, (2, K)), _complex(gen, (2, K))
+    A, W = _complex(gen, (2, m, K)), _complex(gen, (2, m))
+    P, Q, fwd = forward_parts(H, X, A, B)
+    want = np.conj(B @ np.conj(H).T)
+    assert P.tobytes() == want.tobytes()
+    assert fwd.tobytes() == np.sum(want.T * Q, axis=0).tobytes()
+    assert combine_rows(W, B).tobytes() == (W @ B).tobytes()
+
+
+@pytest.mark.parametrize("s,m,K", [(1, 1, 1), (2, 7, 3), (3, 97, 97), (2, 128, 6), (10, 2500, 50)])
+def test_fft_and_matmul_paths_agree(s, m, K):
+    inst = make_instance(Dimensions(s=s, m=m, K=K), kappa=1.5, sigma=0.1, seed=2)
+    dense = dataclasses.replace(inst, B=inst.B.copy())
+    assert is_dft_rows(inst.B) and not is_dft_rows(dense.B)
+    gen = np.random.default_rng(m)
+    state = DemixState(h=_complex(gen, (s, K)), x=_complex(gen, (s, K)))
+    got, want = (
+        (*forward_parts(state.h, state.x, i.A, i.B)[::2], *_gradient_full(state, i)[:2])
+        for i in (inst, dense)
+    )
+    for name, g, w in zip(("P", "fwd", "Gh", "Gx"), got, want):
+        assert g.shape == w.shape, name
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["fft", "matmul"])
+def test_noise_identity_exact_on_both_paths(copy):
+    dims = Dimensions(s=3, m=97, K=5)
+    B = make_dft_rows(dims.m, dims.K)
+    if copy:
+        B = B.copy()
+    A = sample_design(dims, 6)
+    truth = sample_ground_truth(dims, 2.0, 6)
+    y, e = synthesize_measurements(truth, A, B, 0.2, 6)
+    fwd = forward_parts(truth.h, truth.x, A, B)[2]
+    assert np.array_equal(fwd + e, y) and np.array_equal(y - fwd, e)
 
 
 # -------------------------------------------------------------- ground truth
@@ -317,6 +398,34 @@ def test_load_instance_peak_memory(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.1 * size, f"peak {peak / size:.2f}x the file"
     assert back.A.flags.aligned and back.A.flags.writeable
+
+
+def test_load_rejects_b_one_ulp_off(tmp_path, noisy_instance):
+    path = tmp_path / "inst.bin"
+    save_instance(noisy_instance, path)
+    blob = path.read_bytes()
+    m, K = noisy_instance.dims.m, noisy_instance.dims.K
+    # B's payload starts after the 60-byte header: Re b_0[0], then Im b_{m-1}[K-1]
+    for at in (60, 60 + 16 * m * K - 8):
+        v = np.frombuffer(blob, "<f8", 1, at)[0]
+        bumped = np.array(np.nextafter(v, np.inf), "<f8").tobytes()
+        path.write_bytes(blob[:at] + bumped + blob[at + 8 :])
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*DFT"):
+            load_instance(path)
+
+
+def test_loaded_instance_runs_as_the_generated_one(tmp_path):
+    inst = make_instance(Dimensions(s=2, m=64, K=4), kappa=1.5, sigma=0.1, seed=8)
+    save_instance(inst, tmp_path / "inst.bin")
+    back = load_instance(tmp_path / "inst.bin")
+    assert is_dft_rows(back.B)
+    cfg = SolverConfig(eta=0.2, max_iters=30, record_every=1)
+    (st_a, rec_a), (st_b, rec_b) = run(inst, cfg), run(back, cfg)
+    assert st_a.h.tobytes() == st_b.h.tobytes() and st_a.x.tobytes() == st_b.x.tobytes()
+    fields = ("loss", "relative_error", "dist", "incoherence_a", "incoherence_b")
+    assert [[getattr(r, f) for f in fields] for r in rec_a] == [
+        [getattr(r, f) for f in fields] for r in rec_b
+    ]
 
 
 def test_load_rejects_garbage(tmp_path):
