@@ -52,11 +52,17 @@ def loss(state: DemixState, inst: ProblemInstance) -> float:
     return float(np.real(np.vdot(r, r)))
 
 
-def _gradient_full(state: DemixState, inst: ProblemInstance):
-    """(Gh, Gx, r, P, Q) with one shared residual pass."""
+def _gradient_full(state: DemixState, inst: ProblemInstance, held_out=None):
+    """(Gh, Gx, r, P, Q) with one shared residual pass.
+
+    A held_out index l deletes measurement l: r[l] is set to 0, so the loss
+    and both gradients are those of the other m - 1 measurements.
+    """
     _check(state, inst)
     P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
     r = fwd - inst.y
+    if held_out is not None:
+        r[held_out] = 0
     # g_h_i = sum_j r_j (a_ij^* x_i) b_j ; g_x_i = sum_j conj(r_j) (b_j^* h_i) a_ij
     W = r[None, :] * np.conj(Q)
     Gh = combine_rows(W, inst.B)

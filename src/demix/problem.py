@@ -2,9 +2,9 @@
 
 Measurement model: y_j = sum_i b_j^* h_i x_i^* a_ij + e_j for j = 0..m-1,
 with b_j the j-th row of the first K columns of the unitary m-point DFT,
-a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e. The products with the
-rows b_j are taken by FFT when B is an array make_dft_rows returned (or
-load_instance checked), and by matmul for any other B.
+a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e. Every instance's B is
+those rows, so the products with them are taken by FFT; check_instance
+rejects any other B.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +28,6 @@ _FLAG_NOISE = 2
 _MASK64 = (1 << 64) - 1
 _HEADER_BYTES = 60  # magic, the packed fields of save_instance, convention tag
 _DFT_CHECK_BLOCK = 2**12  # entries of B per block that load_instance compares
-
-# id -> weak reference of each live array recorded as DFT rows; an entry is
-# dropped when its array dies, so a reused id is never mistaken for it
-_DFT_ROWS: dict[int, weakref.ref] = {}
 
 
 class DimensionError(ValueError):
@@ -95,7 +90,8 @@ class GroundTruth:
 
 @dataclass
 class ProblemInstance:
-    """One synthetic instance: design tensors, measurements, optional truth."""
+    """One synthetic instance: design tensors, measurements, optional truth.
+    B is make_dft_rows(m, K), as check_instance requires."""
 
     dims: Dimensions
     A: np.ndarray  # (s, m, K) design vectors a_ij
@@ -112,12 +108,22 @@ class ProblemInstance:
 
 
 def check_instance(inst: ProblemInstance) -> None:
-    """Shape validation used by every public entry point."""
+    """Shape validation used by every public entry point, and an O(K) guard
+    that B is make_dft_rows(m, K): B must be read-only, which copies, edited
+    copies and np.delete'd rows are not, and its row 1 (row 0 at m = 1) must
+    hold the DFT's bits for this m, which a row slice for another m does not.
+    """
     s, m, K = inst.dims.s, inst.dims.m, inst.dims.K
     if inst.A.shape != (s, m, K):
         raise ShapeError(f"A must be (s, m, K)={(s, m, K)}, got {inst.A.shape}")
     if inst.B.shape != (m, K):
         raise ShapeError(f"B must be (m, K)={(m, K)}, got {inst.B.shape}")
+    j = min(1, m - 1)
+    if inst.B.flags.writeable or inst.B[j].tobytes() != _dft_block(j, j + 1, m, K).tobytes():
+        raise ValueError(
+            f"B must be the read-only array make_dft_rows({m}, {K}) returns: products "
+            "with B are taken by FFT, which holds for those rows only"
+        )
     if inst.y.shape != (m,):
         raise ShapeError(f"y must be ({m},), got {inst.y.shape}")
     if inst.e.shape not in ((m,), (0,)):
@@ -134,38 +140,20 @@ def _dft_block(lo: int, hi: int, m: int, K: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (j * k) / m) / np.sqrt(m)
 
 
-def _record_dft_rows(B: np.ndarray) -> np.ndarray:
-    """Make B read-only and record it, by identity, as DFT rows."""
-    B.flags.writeable = False
-    key = id(B)
-
-    def forget(ref):
-        if _DFT_ROWS.get(key) is ref:
-            del _DFT_ROWS[key]
-
-    _DFT_ROWS[key] = weakref.ref(B, forget)
-    return B
-
-
-def is_dft_rows(B: np.ndarray) -> bool:
-    """Whether B is a read-only array make_dft_rows returned or load_instance
-    checked. Copies, slices and edited copies of such an array are not."""
-    ref = _DFT_ROWS.get(id(B))
-    return ref is not None and ref() is B and not B.flags.writeable
-
-
 def make_dft_rows(m: int, K: int) -> np.ndarray:
     """Rows b_j of the first K columns of the unitary m-point DFT.
 
     b_j[k] = exp(-2*pi*i*j*k/m) / sqrt(m), zero-based j and k. The rows
     satisfy sum_j b_j b_j^* = I_K and ||b_j||^2 = K/m. The array is
-    read-only and recorded by identity, so forward_parts and combine_rows
-    take their products with it by FFT; a copy, a slice or an edited copy
-    is an ordinary array and takes the matmul.
+    read-only: forward_parts and combine_rows take their products with it by
+    FFT, and check_instance rejects a writeable B, so a copy or an edited
+    copy cannot stand in for it.
     """
     if m < K:
         raise DimensionError(f"m >= K required, got m={m}, K={K}")
-    return _record_dft_rows(_dft_block(0, m, m, K))
+    B = _dft_block(0, m, m, K)
+    B.flags.writeable = False
+    return B
 
 
 def sample_design(dims: Dimensions, rng_seed: int) -> np.ndarray:
@@ -211,24 +199,20 @@ def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
 
     This is the single arithmetic path shared by synthesis, residual and
     gradient evaluation, so state == truth reproduces y - e bit for bit.
-    For B from make_dft_rows, column i of P is the unitary inverse DFT of
-    h_i zero-padded to length m, formed as a contiguous (s, m) array whose
-    transposed view is returned; any other B takes the matmul.
+    B is make_dft_rows(m, K), of which only the shape is read: column i of P
+    is the unitary inverse DFT of h_i zero-padded to length m, formed as a
+    contiguous (s, m) array whose transposed view is returned.
     """
-    if is_dft_rows(B):
-        P = np.fft.ifft(H, n=B.shape[0], axis=1, norm="ortho").T
-    else:
-        P = np.conj(B @ np.conj(H).T)  # conj(B) is never formed
+    P = np.fft.ifft(H, n=B.shape[0], axis=1, norm="ortho").T
     Q = np.matmul(A, np.conj(X)[:, :, None])[:, :, 0]
     fwd = np.sum(P.T * Q, axis=0)
     return P, Q, fwd
 
 
 def combine_rows(W: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """W @ B, the (s, K) sums sum_j W[i, j] b_j; by FFT for B from make_dft_rows."""
-    if is_dft_rows(B):
-        return np.fft.fft(W, axis=1, norm="ortho")[:, : B.shape[1]]
-    return W @ B
+    """W @ B, the (s, K) sums sum_j W[i, j] b_j, for B = make_dft_rows(m, K):
+    the first K entries of each row's unitary DFT."""
+    return np.fft.fft(W, axis=1, norm="ortho")[:, : B.shape[1]]
 
 
 def synthesize_measurements(
@@ -356,9 +340,8 @@ def load_instance(path) -> ProblemInstance:
 
     The payload is read straight into one array, which the instance's arrays
     are views of, so loading never holds the file twice. B must be the bytes
-    make_dft_rows gives for the header's m and K, else ValueError; it is
-    then read-only and recorded as DFT rows, so the loaded instance takes
-    the FFT path as a generated one does.
+    make_dft_rows gives for the header's m and K, else ValueError naming the
+    file; it is then made read-only, as make_dft_rows' array is.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
@@ -398,13 +381,14 @@ def load_instance(path) -> ProblemInstance:
     }
     dims = Dimensions(s=s, m=m, K=K)  # rejects K = 0 before the check divides by K
     _check_dft_rows(arrays["B"], path)
+    arrays["B"].flags.writeable = False
     truth = None
     if flags & _FLAG_TRUTH:
         truth = GroundTruth.from_pairs(arrays["h"], arrays["x"])
     return ProblemInstance(
         dims=dims,
         A=arrays["A"],
-        B=_record_dft_rows(arrays["B"]),
+        B=arrays["B"],
         y=arrays["y"],
         e=arrays.get("e", np.zeros(0, dtype=complex)),
         sigma=sigma,

@@ -179,19 +179,27 @@ def _record(t, loss_t, state, P, prev_alpha, inst) -> TrajectoryRecord:
     )
 
 
-def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
+def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None):
     """Algorithm loop: spectral init, then max_iters scaled gradient steps.
 
     Records at iteration 0, every record_every iterations, and at the final
     iterate. Early stop when relative error falls below stop_tol, checked
     at record points only (needs truth attached). The optional on_iterate
-    callback sees (t, state) at every iteration.
+    callback sees (t, state) at every iteration. A held_out index l runs
+    the descent without measurement l: y[l] is zeroed in the spectral start
+    and the residual's entry l in every gradient, so neither y[l] nor the
+    design vectors a_il enter the iterates.
 
     Returns (final_state, records). Raises DivergenceError if the loss goes
     non-finite or exceeds 1e6 times the initial loss, and
     DegenerateIterateError if a source reaches zero norm.
     """
-    state = spectral_init(inst)
+    if held_out is None:
+        state = spectral_init(inst)
+    else:
+        y = inst.y.copy()
+        y[held_out] = 0
+        state = init_from_matrices(backprojection_matrices(inst.A, inst.B, y))
     truth = inst.truth
     records: list[TrajectoryRecord] = []
     prev_state = None
@@ -199,7 +207,7 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None):
     t = 0
     while True:
         stepping = t < cfg.max_iters
-        Gh, Gx, r, P, _ = _gradient_full(state, inst)
+        Gh, Gx, r, P, _ = _gradient_full(state, inst, held_out)
         loss_t = float(np.real(np.vdot(r, r)))
         if loss0 is None:
             loss0 = loss_t

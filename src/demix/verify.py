@@ -3,8 +3,8 @@
 Covers: sampled restricted strong convexity/smoothness of the clean
 curvature near the truth, per-trial spectral deviations of the back-projection
 matrices from a truth drawn at the configured kappa, and leave-one-out
-trajectory proximity, which runs `run` once per held-out index l on the
-instance with row l of B and y zeroed. CHECKS is the table of verify_*
+trajectory proximity, which runs `run` once per held-out index l with
+measurement l masked out (run's held_out). CHECKS is the table of verify_*
 experiments that `demix verify` runs.
 """
 
@@ -234,11 +234,9 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
     """Main vs leave-one-out runs of `run`, reporting aligned proximity.
 
     The main sequence is `run` on the instance; leave-one-out sequence l is
-    `run` on the instance with row l of B and y set to zero, which deletes
-    measurement l from the back-projection, the loss and both gradients.
-    That zeroed-row copy of B is an ordinary array, so these runs take the
-    matmul path for P and Gh; the main run, on make_dft_rows' B, takes the
-    FFT path (see problem.forward_parts).
+    `run(..., held_out=l)` on the same instance, whose mask on y[l] and on
+    the residual's entry l deletes measurement l from the back-projection,
+    the loss and both gradients. No array of the instance is copied.
     Each run takes max_iters steps of size eta. At every iteration the main
     iterate is aligned to the truth and each leave-one-out iterate onto that
     aligned main iterate; the report carries per-iteration max-over-l
@@ -279,14 +277,11 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
             per_l[t] = metrics.dist_from_errors(g, truth.d)
     else:
         for k, l in enumerate(l_set):
-            B, y = inst.B.copy(), inst.y.copy()
-            B[l], y[l] = 0, 0
-
             def on_loo(t, state):
                 g = metrics.aligned_error(state.h, state.x, ref_h[t], ref_x[t])[1]
                 per_l[t, k] = metrics.dist_from_errors(g, truth.d)
 
-            run(dataclasses.replace(blind, B=B, y=y), cfg, on_iterate=on_loo)
+            run(blind, cfg, on_iterate=on_loo, held_out=l)
     return {
         "iters": np.arange(T + 1),
         "per_l": per_l,

@@ -51,14 +51,18 @@ def naive_loss(state, inst) -> float:
 
 def naive_gradient(state, inst):
     """Conjugate-coordinate gradient pair (Gh, Gx), plain loops."""
-    s, m, K = inst.A.shape
-    r = naive_forward(state.h, state.x, inst.A, inst.B) - inst.y
+    return _loop_gradient(state.h, state.x, inst.A, inst.B, inst.y)
+
+
+def _loop_gradient(H, X, A, B, y):
+    s, m, K = A.shape
+    r = naive_forward(H, X, A, B) - y
     Gh = np.zeros((s, K), dtype=complex)
     Gx = np.zeros((s, K), dtype=complex)
     for i in range(s):
         for j in range(m):
-            Gh[i] += r[j] * np.vdot(inst.A[i, j], state.x[i]) * inst.B[j]
-            Gx[i] += np.conj(r[j]) * np.vdot(inst.B[j], state.h[i]) * inst.A[i, j]
+            Gh[i] += r[j] * np.vdot(A[i, j], X[i]) * B[j]
+            Gx[i] += np.conj(r[j]) * np.vdot(B[j], H[i]) * A[i, j]
     return Gh, Gx
 
 
@@ -69,6 +73,34 @@ def naive_backprojection(A, B, y):
     for i in range(s):
         for j in range(m):
             out[i] += y[j] * np.outer(B[j], np.conj(A[i, j]))
+    return out
+
+
+def reference_descent(A, B, y, eta, iters):
+    """The iterates (h, x) of a spectral start and iters scaled steps on
+    explicit arrays, for any B.
+
+    Source i starts at sqrt(sigma1) (u, v) from the SVD of
+    naive_backprojection's M_i, rotated so the largest-magnitude entry of u
+    (the first on ties) is real and positive. A step moves h_i by
+    eta / ||x_i||^2 and x_i by eta / ||h_i||^2 times the plain-loop gradient
+    at the pre-update iterate.
+    """
+    s, _, K = A.shape
+    H = np.empty((s, K), dtype=complex)
+    X = np.empty((s, K), dtype=complex)
+    for i, M in enumerate(naive_backprojection(A, B, y)):
+        U, S, Vh = np.linalg.svd(M)
+        rot = np.exp(-1j * np.angle(U[np.argmax(np.abs(U[:, 0])), 0]))
+        H[i] = np.sqrt(S[0]) * U[:, 0] * rot
+        X[i] = np.sqrt(S[0]) * np.conj(Vh[0]) * rot
+    out = [(H, X)]
+    for _ in range(iters):
+        Gh, Gx = _loop_gradient(H, X, A, B, y)
+        nh = np.sum(np.abs(H) ** 2, axis=1)
+        nx = np.sum(np.abs(X) ** 2, axis=1)
+        H, X = H - (eta / nx)[:, None] * Gh, X - (eta / nh)[:, None] * Gx
+        out.append((H, X))
     return out
 
 

@@ -11,7 +11,14 @@ from demix.objective import (
     loss,
     residuals,
 )
-from demix.problem import Dimensions, ProblemInstance, ShapeError, forward_parts, make_instance
+from demix.problem import (
+    Dimensions,
+    ProblemInstance,
+    ShapeError,
+    forward_parts,
+    make_dft_rows,
+    make_instance,
+)
 
 from conftest import random_state
 from oracles import (
@@ -36,7 +43,7 @@ def scalar_instance():
     return ProblemInstance(
         dims=dims,
         A=one,
-        B=np.ones((1, 1), dtype=complex),
+        B=make_dft_rows(1, 1),
         y=np.zeros(1, dtype=complex),
         e=np.zeros(0, dtype=complex),
         sigma=0.0,

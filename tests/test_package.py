@@ -27,3 +27,26 @@ def test_oracles_import_only_numpy_mpmath_and_public_containers():
             elif node.module != "__future__":
                 bad.append(f"{node.module}: {sorted(names)}")
     assert bad == []
+
+
+# Imported names kept though unused: perfbench's tracing test asserts that
+# verify holds _gradient_full, to check that every namespace holding a traced
+# function is rewrapped.
+UNUSED_IMPORTS_KEPT = {("verify", "_gradient_full")}
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(Path(demix.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(demix.__all__)  # the package re-exports its imports
+        unused += [(path.stem, name) for name in sorted(imported - used)]
+    assert sorted(set(unused) - UNUSED_IMPORTS_KEPT) == []

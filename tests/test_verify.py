@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demix import _rng, metrics, objective, verify
 from demix.objective import DemixState, _source_curvatures
@@ -32,7 +34,12 @@ from demix.verify import (
 )
 
 from conftest import trial_mean_error
-from oracles import naive_backprojection, population_hessian, real_to_wirtinger
+from oracles import (
+    naive_backprojection,
+    population_hessian,
+    real_to_wirtinger,
+    reference_descent,
+)
 
 
 def _unit_truth(s, K, seed):
@@ -332,6 +339,7 @@ def test_leave_one_out_trajectories_report():
 
 
 def test_leave_one_out_matches_runs_on_deleted_measurement():
+    # sequence l against a reference descent on A, B and y with measurement l deleted
     inst = make_instance(Dimensions(s=2, m=48, K=3), kappa=1.5, sigma=0.1, seed=5)
     cfg = SolverConfig(eta=0.1, max_iters=20)
     l_set = [0, 7, 47]
@@ -340,26 +348,35 @@ def test_leave_one_out_matches_runs_on_deleted_measurement():
     run(inst, cfg, on_iterate=lambda t, st: main.append(st))
     truth = inst.truth
     for k, l in enumerate(l_set):
-        reduced = ProblemInstance(
-            dims=Dimensions(s=2, m=47, K=3),
-            A=np.delete(inst.A, l, axis=1),
-            B=np.delete(inst.B, l, axis=0),
-            y=np.delete(inst.y, l),
-            e=np.zeros(0, dtype=complex),
-            sigma=inst.sigma,
-            seed=inst.seed,
-        )
-        held = []
-        run(reduced, cfg, on_iterate=lambda t, st: held.append(st))
+        held = reference_descent(np.delete(inst.A, l, axis=1), np.delete(inst.B, l, axis=0),
+                                 np.delete(inst.y, l), cfg.eta, cfg.max_iters)
         assert len(held) == len(main) == cfg.max_iters + 1
-        for t, (st_main, st_held) in enumerate(zip(main, held)):
+        for t, (st_main, (h, x)) in enumerate(zip(main, held)):
             align = metrics.align_state(st_main, truth)
             ref_h = st_main.h / np.conj(align.alpha)[:, None]
             ref_x = align.alpha[:, None] * st_main.x
-            g = metrics.aligned_error(st_held.h, st_held.x, ref_h, ref_x)[1]
+            g = metrics.aligned_error(h, x, ref_h, ref_x)[1]
             want = metrics.dist_from_errors(g, truth.d)
             assert out["per_l"][t, k] == pytest.approx(want, rel=1e-12)
             assert out["dist_truth"][t] == align.dist(truth.d)
+
+
+@settings(max_examples=10, deadline=None)
+@given(l=st.integers(0, 23), seed=st.integers(0, 2**32 - 1))
+def test_held_out_measurement_changes_no_bit_of_the_run(l, seed):
+    # y[l] and the design vectors a_il of a held-out l never reach the iterates
+    inst = make_instance(Dimensions(s=2, m=24, K=3), kappa=1.5, sigma=0.1, seed=1)
+    gen = np.random.default_rng(seed)
+    A, y = inst.A.copy(), inst.y.copy()
+    A[:, l] = gen.standard_normal((2, 3)) + 1j * gen.standard_normal((2, 3))
+    y[l] = complex(*gen.standard_normal(2))
+    cfg = SolverConfig(eta=0.1, max_iters=10)
+    runs = []
+    for i in (inst, dataclasses.replace(inst, A=A, y=y)):
+        states = []
+        run(i, cfg, on_iterate=lambda t, z: states.append(z), held_out=l)
+        runs.append(b"".join(z.h.tobytes() + z.x.tobytes() for z in states))
+    assert runs[0] == runs[1]
 
 
 def test_leave_one_out_validation(small_instance):
