@@ -46,7 +46,6 @@ _NUMBERS = {
     "stop_tol": (float, 0.0, False),
     "record_every": (int, 1, False),
     "n_points": (int, 1, False),
-    "n_dirs": (int, 1, False),
     "delta": (float, 0.0, True),
     "n_trials": (int, 1, False),
     "m_sweep": (int, 1, False),

@@ -18,15 +18,11 @@ class Alignment:
 
     alpha[i] (nonzero) minimizes g_i(alpha) = ||h_i/conj(alpha) - h'_i||^2 +
     ||alpha x_i - x'_i||^2, and error[i] = g_i(alpha[i]) is the aligned
-    squared error. dist and the incoherence measures derive from these.
+    squared error. dist_from_errors and the incoherence measures derive from these.
     """
 
     alpha: np.ndarray  # (s,) complex
     error: np.ndarray  # (s,) float
-
-    def dist(self, d) -> float:
-        """dist_from_errors of this alignment's errors."""
-        return dist_from_errors(self.error, d)
 
 
 def dist_from_errors(error, d) -> float:
@@ -180,7 +176,7 @@ def align_state(state, truth) -> Alignment:
 
 def dist(state, truth) -> float:
     """sqrt(sum_i min_alpha g_i(alpha) / d_i) with d_i = ||h'_i||^2 + ||x'_i||^2."""
-    return align_state(state, truth).dist(truth.d)
+    return dist_from_errors(align_state(state, truth).error, truth.d)
 
 
 def relative_error(state, truth) -> float:

@@ -171,7 +171,7 @@ def _record(t, loss_t, state, P, prev_alpha, inst) -> TrajectoryRecord:
         iter=t,
         loss=loss_t,
         relative_error=metrics.relative_error(state, truth),
-        dist=align.dist(truth.d),
+        dist=metrics.dist_from_errors(align.error, truth.d),
         incoherence_a=inc_a,
         incoherence_b=inc_b,
         alignment_ratios=ratios,

@@ -1,16 +1,15 @@
 """Desk-scale empirical checks of the geometry the solver relies on.
 
-Covers: sampled restricted strong convexity/smoothness of the clean
-curvature near the truth, per-trial spectral deviations of the back-projection
-matrices from a truth drawn at the configured kappa, and leave-one-out
-trajectory proximity, which runs `run` once per held-out index l with
-measurement l masked out (run's held_out). CHECKS is the table of verify_*
-experiments that `demix verify` runs.
+Covers: the exact strong-convexity minimum off the gauge, and the smoothness,
+of the clean curvature at points sampled near the truth, per-trial spectral
+deviations of the back-projection matrices from a truth drawn at the
+configured kappa, and leave-one-out trajectory proximity, which runs `run`
+once per held-out index l with measurement l masked out (run's held_out).
+CHECKS is the table of verify_* experiments that `demix verify` runs.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import json
 import math
@@ -43,63 +42,66 @@ NOISE_MODEL_NOTE = (
 
 @dataclass
 class RscReport:
-    """Sampled strong-convexity/smoothness summary near the truth.
+    """Strong-convexity/smoothness summary over points sampled near the truth.
 
-    min_quadratic_ratio is the minimum over samples of
-    2 sum_i (d_i v_i)^T M_i v_i / sum_i ||v_i||^2, with M_i the real clean
-    curvature of source i at a sampled point; smoothness_max is the largest
-    |eigenvalue| of any sampled M_i. Once the draw budget is spent, a point
-    draw keeps a candidate that breaks its side condition (a point failure)
-    and a direction the raw difference of its pair (a direction failure);
-    sampling_failures is their sum, and a check with any does not pass. The
-    field is named `passed` because `pass` is reserved in Python; serialized
-    reports use the key "pass".
+    min_quadratic_ratio is the minimum over points of the exact minimum of
+    2 sum_i (d_i v_i)^T M_i v_i / sum_i ||v_i||^2 over every direction v
+    orthogonal to the gauge, with M_i the real clean curvature of source i at
+    the point; smoothness_max is the largest |eigenvalue| of any sampled M_i.
+    Once the draw budget is spent, a point draw keeps a candidate that breaks
+    its side condition; sampling_failures counts those, and a check with any
+    does not pass. The field is named `passed` because `pass` is reserved in
+    Python; serialized reports use the key "pass".
     """
 
-    samples_tested: int
+    n_points: int
     min_quadratic_ratio: float
     smoothness_max: float
     kappa: float
     s: int
     passed: bool
-    point_failures: int = 0
-    direction_failures: int = 0
-    sampling_failures: int = dataclasses.field(init=False)
+    sampling_failures: int = 0
 
     def __post_init__(self):
-        if self.samples_tested < 1:
-            raise ValueError("samples_tested must be >= 1")
+        if self.n_points < 1:
+            raise ValueError("n_points must be >= 1")
         if not np.isfinite(self.min_quadratic_ratio):
             raise ValueError("min_quadratic_ratio must be finite")
-        self.sampling_failures = self.point_failures + self.direction_failures
 
 
-def check_rsc(
-    inst: ProblemInstance,
-    n_points: int,
-    n_dirs: int,
-    delta: float,
-    rng_seed: int,
-) -> RscReport:
-    """Sample the clean-curvature quadratic form over the contraction region.
+def _gauge_free_minimum(h, x, M, beta) -> float:
+    """Minimum of 2 (D v)^T M v / ||v||^2 over every v orthogonal to the
+    gauge tangents of (h, x), D holding beta[0] on the dh coordinates and
+    beta[1] on the dx ones: the smallest eigenvalue of D M + M D on N, the
+    last 4K - 2 columns of a complete QR of the two tangents.
+    """
+    # (h, x) -> (h / conj(c), c x) moves along these at c = e^t and c = e^{it}
+    tangents = np.array([np.concatenate([-h.real, -h.imag, x.real, x.imag]),
+                         np.concatenate([-h.imag, h.real, -x.imag, x.real])])
+    N = np.linalg.qr(tangents.T, mode="complete")[0][:, 2:]
+    DM = np.repeat(beta, 2 * len(h))[:, None] * M
+    return float(np.linalg.eigvalsh(N.T @ (DM + DM.T) @ N)[0])
+
+
+def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int) -> RscReport:
+    """The clean-curvature quadratic form's exact minimum over sampled points.
 
     Points z are drawn per source in the l2 ball of radius delta/(kappa
     sqrt(s)) around the truth and redrawn until both incoherence side
     conditions hold: max_j |a_ij^*(x_i - x'_i)| <= 2 c_a ||x'_i|| /
     (sqrt(s) log^{3/2} m) and max_j |b_j^* h_i| <= 2 c_b mu log^2(m)
-    ||h'_i|| / sqrt(m), with c_a = _C_A and c_b = _C_B. Directions v stack
-    per-source differences (Re dh, Im dh, Re dx, Im dx) of an aligned pair
-    of such points (the second aligned onto the first), and d carries
-    per-source scalars beta_{i1} (on dh), beta_{i2} (on dx) drawn uniformly
-    within delta/(kappa sqrt(s)) of 1/kappa. Redraws, of a point or of a
-    pair's 4s points, come from one budget of _REJECTION_BUDGET draws.
+    ||h'_i|| / sqrt(m), with c_a = _C_A and c_b = _C_B. Redraws come from
+    one budget of _REJECTION_BUDGET draws. After the points, each point
+    draws per-source scalars beta_{i1} (on dh), beta_{i2} (on dx) uniformly
+    within delta/(kappa sqrt(s)) of 1/kappa; its ratio is the smallest
+    _gauge_free_minimum over its sources.
     """
     truth = inst.truth
     if truth is None:
         raise ValueError("check_rsc requires an instance with ground truth")
-    if n_points < 1 or n_dirs < 1 or not delta > 0:
-        raise ValueError(f"check_rsc needs n_points, n_dirs >= 1 and delta > 0, got "
-                         f"{n_points}, {n_dirs} and {delta}")
+    if n_points < 1 or not delta > 0:
+        raise ValueError(f"check_rsc needs n_points >= 1 and delta > 0, got "
+                         f"{n_points} and {delta}")
     m = inst.dims.m
     if m < 2:
         raise ValueError(f"check_rsc needs m >= 2, got m={m}: its side conditions divide by log m")
@@ -110,7 +112,7 @@ def check_rsc(
     lim_h = 2.0 * _C_B * mu * math.log(m) ** 2 / math.sqrt(m) * np.linalg.norm(truth.h, axis=1)
     lim_x = 2.0 * _C_A / (math.sqrt(s) * math.log(m) ** 1.5) * np.linalg.norm(truth.x, axis=1)
     gen = _rng.stream(rng_seed, _rng.TAG_AUX)
-    failures = collections.Counter()
+    failures = 0
     spare = _REJECTION_BUDGET
 
     def incoherent_h(i, v):
@@ -119,88 +121,55 @@ def check_rsc(
     def incoherent_x(i, v):
         return np.max(np.abs(inst.A[i] @ np.conj(v - truth.x[i]))) <= lim_x[i]
 
-    def sample_near(i, center, radius, incoherent):
-        """Uniform draw in the l2 ball around center, redrawn from the budget
-        until incoherent(i, v); with the budget spent, a rejected draw is kept
-        as a point failure."""
-        nonlocal spare
+    def sample_near(i, center, incoherent):
+        """Uniform draw in the l2 ball of radius rho around center, redrawn
+        from the budget until incoherent(i, v); with the budget spent, a
+        rejected draw is kept as a sampling failure."""
+        nonlocal spare, failures
         v = center
         while True:
             d = _rng.complex_standard_normal(gen, center.shape)
             nd = np.linalg.norm(d)
             if nd > 0:
-                r = radius * gen.random() ** (1.0 / (2 * center.size))
+                r = rho * gen.random() ** (1.0 / (2 * center.size))
                 v = center + (r / nd) * d
                 if incoherent(i, v):
                     return v
             if spare == 0:
-                failures["point"] += 1
+                failures += 1
                 return v
             spare -= 1
 
-    def sample_state(radius):
+    def sample_state():
         h = np.empty((s, K), dtype=complex)
         x = np.empty((s, K), dtype=complex)
         for i in range(s):
-            h[i] = sample_near(i, truth.h[i], radius, incoherent_h)
-            x[i] = sample_near(i, truth.x[i], radius, incoherent_x)
+            h[i] = sample_near(i, truth.h[i], incoherent_h)
+            x[i] = sample_near(i, truth.x[i], incoherent_x)
         return DemixState(h=h, x=x)
 
-    def direction():
-        """(v, d), both (s, 4K): v is the per-source difference of an aligned
-        in-ball pair or, once the budget cannot pay for a new pair, the raw
-        difference of the last pair, so the report stays well formed; d holds
-        beta_1 on the dh coordinates and beta_2 on the dx ones."""
-        nonlocal spare
-        while True:
-            za = sample_state(0.8 * rho)
-            zb = sample_state(0.8 * rho)
-            alphas = metrics.align_source(zb.h, zb.x, za.h, za.x)
-            hb = zb.h / np.conj(alphas)[:, None]
-            xb = alphas[:, None] * zb.x
-            dh, dx = za.h - hb, za.x - xb
-            if all(
-                np.linalg.norm(hb[i] - truth.h[i]) <= rho
-                and np.linalg.norm(xb[i] - truth.x[i]) <= rho
-                and incoherent_h(i, hb[i]) and incoherent_x(i, xb[i])
-                for i in range(s)
-            ) and np.vdot(dh, dh).real + np.vdot(dx, dx).real > 0:
-                break
-            if spare < 4 * s:
-                failures["direction"] += 1
-                dh, dx = za.h - zb.h, za.x - zb.x
-                break
-            spare -= 4 * s
-        v = np.concatenate([dh.real, dh.imag, dx.real, dx.imag], axis=1)
-        betas = lo + (hi - lo) * gen.random((s, 2))
-        return v, np.repeat(betas, 2 * K, axis=1)
-
+    points = [sample_state() for _ in range(n_points)]
     lo = max(1.0 / kappa - rho, 1e-3 / kappa)
     hi = 1.0 / kappa + rho
-    points = [sample_state(rho) for _ in range(n_points)]
-    V, D = (np.array(a) for a in zip(*(direction() for _ in range(n_dirs))))  # (n_dirs, s, 4K)
-    den = np.sum(V**2, axis=(1, 2))
+    betas = lo + (hi - lo) * gen.random((n_points, s, 2))
     fwd_truth = forward_parts(truth.h, truth.x, inst.A, inst.B)[2]
 
     min_ratio = math.inf
     smooth_max = 0.0
-    for z in points:
-        num = np.zeros(n_dirs)
+    for z, beta in zip(points, betas):
         for i, M in enumerate(_source_curvatures(z, inst, fwd_truth)):
             smooth_max = max(smooth_max, float(np.max(np.abs(np.linalg.eigvalsh(M)))))
-            num += 2.0 * np.sum(D[:, i] * V[:, i] * (V[:, i] @ M), axis=1)
-        min_ratio = min(min_ratio, float(np.min(num / den)))
+            min_ratio = min(min_ratio, _gauge_free_minimum(z.h[i], z.x[i], M, beta[i]))
 
     return RscReport(
-        samples_tested=n_points * n_dirs,
-        min_quadratic_ratio=float(min_ratio),
+        n_points=n_points,
+        min_quadratic_ratio=min_ratio,
         smoothness_max=smooth_max,
         kappa=float(kappa),
         s=s,
         passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth_max <= 2.0 + s
-                    and not sum(failures.values())),
-        point_failures=failures["point"],
-        direction_failures=failures["direction"],
+                    and not failures),
+        sampling_failures=failures,
     )
 
 
@@ -265,7 +234,7 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
         align = metrics.align_state(state, truth)
         ref_h[t] = state.h / np.conj(align.alpha)[:, None]
         ref_x[t] = align.alpha[:, None] * state.x
-        dist_truth[t] = align.dist(truth.d)
+        dist_truth[t] = metrics.dist_from_errors(align.error, truth.d)
 
     blind = dataclasses.replace(inst, truth=None)
     run(blind, cfg, on_iterate=on_main)
@@ -310,10 +279,10 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def _rsc(dims, kappa, sigma, seed, *, n_points=50, n_dirs=20, delta=0.1):
+def _rsc(dims, kappa, sigma, seed, *, n_points=50, delta=0.1):
     """check_rsc on the instance of this setting and seed."""
     inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
-    rep = check_rsc(inst, n_points=n_points, n_dirs=n_dirs, delta=delta, rng_seed=seed)
+    rep = check_rsc(inst, n_points=n_points, delta=delta, rng_seed=seed)
     metrics_out = {k: v for k, v in dataclasses.asdict(rep).items() if k != "passed"}
     return {"delta": delta}, metrics_out, rep.passed
 

@@ -8,7 +8,6 @@ self-describing.
 import json
 
 import numpy as np
-import pytest
 
 from demix import _rng
 from demix.cli import main as cli_main
@@ -203,7 +202,7 @@ def test_criterion_09_backprojection_concentrates_with_measurements(backprojecti
 
 def test_criterion_10_sampled_curvature_bounds_near_truth():
     inst = make_instance(Dimensions(s=1, m=6400, K=8), kappa=1.0, sigma=0.0, seed=7)
-    rep = check_rsc(inst, n_points=50, n_dirs=20, delta=0.1, rng_seed=7)
+    rep = check_rsc(inst, n_points=50, delta=0.1, rng_seed=7)
     print(
         f"min quadratic-form ratio {rep.min_quadratic_ratio:.4f} (needs >= 1/8), "
         f"max clean-curvature norm {rep.smoothness_max:.4f} (needs <= 3), "

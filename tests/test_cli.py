@@ -2,10 +2,8 @@
 
 import json
 import subprocess
-import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from demix import solver, verify
@@ -233,6 +231,8 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
         # the solver keys a check does not read: verify_loo's runs see no
         # truth, so they keep no metrics and never stop early
         ({"eta": 0.2}, "verify_rsc does not read ['eta']"),
+        # check_rsc takes an exact minimum at each point and samples no directions
+        ({"n_dirs": 20}, "unknown config keys: ['n_dirs']"),
         ({"experiment": "verify_spectral", "max_iters": 60},
          "verify_spectral does not read ['max_iters']"),
         ({"experiment": "verify_loo", "stop_tol": 1e-6}, "verify_loo does not read ['stop_tol']"),
@@ -246,7 +246,7 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
     ],
     ids=["kappa_list", "sigma_list", "dims_list", "dims_unknown_key", "dims_empty",
          "rsc_m_below_2", "l_set_at_m", "unread_extra",
-         "rsc_eta", "spectral_max_iters", "loo_stop_tol", "loo_record_every",
+         "rsc_eta", "rsc_n_dirs", "spectral_max_iters", "loo_stop_tol", "loo_record_every",
          "l_set_with_n_holdout", "default_m_sweep_below_K"],
 )
 def test_verify_setting_usage_errors(tmp_path, capsys, overrides, message):
@@ -400,7 +400,7 @@ def test_solver_keys_default_when_absent(tmp_path):
 def test_verify_rsc_report(tmp_path):
     cfg = write_config(
         tmp_path, experiment="verify_rsc", dims={"s": 1, "m": 1600, "K": 4},
-        n_points=10, n_dirs=5, delta=0.1, seeds=[7],
+        n_points=10, delta=0.1, seeds=[7],
     )
     assert main(["verify", "--config", str(cfg)]) == 0
     report = json.loads(
@@ -415,10 +415,10 @@ def test_verify_rsc_report(tmp_path):
         "dims": {"s": 1, "m": 1600, "K": 4}, "kappa": 1.0, "sigma": 0.0, "delta": 0.1,
     }
     assert set(report["metrics"]) == {
-        "samples_tested", "min_quadratic_ratio", "smoothness_max", "kappa", "s",
-        "sampling_failures", "point_failures", "direction_failures",
+        "n_points", "min_quadratic_ratio", "smoothness_max", "kappa", "s",
+        "sampling_failures",
     }
-    assert report["metrics"]["samples_tested"] == 50
+    assert report["metrics"]["n_points"] == 10
 
 
 def test_verify_job_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
@@ -433,7 +433,7 @@ def test_verify_job_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setitem(verify.CHECKS, "verify_rsc", fails_at_seed_3)
     cfg = write_config(tmp_path, experiment="verify_rsc", dims={"s": 1, "m": 400, "K": 4},
-                       n_points=2, n_dirs=2, seeds=[3, 4])
+                       n_points=2, seeds=[3, 4])
     assert main(["verify", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import demix
 from demix.metrics import (
     align_source,
     align_state,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import demix
 from demix.objective import (
     DemixState,
     _source_curvatures,

@@ -37,7 +37,8 @@ UNUSED_IMPORTS_KEPT = {("verify", "_gradient_full")}
 
 def test_every_imported_name_is_used():
     unused = []
-    for path in sorted(Path(demix.__file__).parent.glob("*.py")):
+    paths = [*Path(demix.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = set()
         for node in ast.walk(tree):
@@ -46,7 +47,7 @@ def test_every_imported_name_is_used():
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported |= {a.asname or a.name for a in node.names}
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        if path.name == "__init__.py":
+        if path == Path(demix.__file__):
             used |= set(demix.__all__)  # the package re-exports its imports
         unused += [(path.stem, name) for name in sorted(imported - used)]
     assert sorted(set(unused) - UNUSED_IMPORTS_KEPT) == []

@@ -129,106 +129,115 @@ def test_population_hessian_matches_design_average():
 def test_rsc_report_validation():
     with pytest.raises(ValueError):
         RscReport(
-            samples_tested=0, min_quadratic_ratio=1.0, smoothness_max=2.0,
+            n_points=0, min_quadratic_ratio=1.0, smoothness_max=2.0,
             kappa=1.0, s=1, passed=True,
         )
     with pytest.raises(ValueError):
         RscReport(
-            samples_tested=5, min_quadratic_ratio=float("nan"), smoothness_max=2.0,
+            n_points=5, min_quadratic_ratio=float("nan"), smoothness_max=2.0,
             kappa=1.0, s=1, passed=True,
         )
 
 
 def test_check_rsc_small_instance():
     inst = make_instance(Dimensions(s=1, m=1600, K=4), kappa=1.0, sigma=0.0, seed=7)
-    rep = check_rsc(inst, n_points=10, n_dirs=5, delta=0.1, rng_seed=7)
-    assert rep.samples_tested == 50
+    rep = check_rsc(inst, n_points=10, delta=0.1, rng_seed=7)
+    assert rep.n_points == 10
     assert rep.sampling_failures == 0
     assert rep.passed is True
     assert rep.min_quadratic_ratio >= 0.25  # 1/(4 kappa) at kappa = 1
     assert rep.smoothness_max <= 3.0  # 2 + s
 
 
+def test_check_rsc_takes_the_exact_minimum_orthogonal_to_the_gauge(monkeypatch):
+    # a point's ratio is the minimum over every direction orthogonal to the
+    # gauge tangents of its sources: random such directions never go below
+    # it and the minimizing eigenvector reaches it, while each M_i has two
+    # near-null eigenvalues that would decide an unprojected minimum
+    inst = make_instance(Dimensions(s=2, m=400, K=6), kappa=1.5, sigma=0.05, seed=1)
+    gauge_free_minimum = verify._gauge_free_minimum
+    calls = []
+
+    def recorded(h, x, M, beta):
+        calls.append((h, x, M, beta, gauge_free_minimum(h, x, M, beta)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(verify, "_gauge_free_minimum", recorded)
+    rep = check_rsc(inst, n_points=3, delta=0.1, rng_seed=1)
+    assert len(calls) == 3 * 2
+    assert rep.min_quadratic_ratio == min(call[-1] for call in calls)
+    gen = np.random.default_rng(0)
+    for h, x, M, beta, low in calls:
+        S = np.repeat(beta, 2 * len(h))[:, None] * M
+        S = S + S.T  # v^T S v = 2 (D v)^T M v
+
+        def ratio(v):
+            return v @ S @ v / (v @ v)
+
+        T = np.array([np.concatenate([-h.real, -h.imag, x.real, x.imag]),
+                      np.concatenate([-h.imag, h.real, -x.imag, x.real])]).T
+        P = np.eye(len(S)) - T @ np.linalg.pinv(T)
+        assert min(ratio(v) for v in gen.standard_normal((200, len(S))) @ P) >= low
+        lam, U = np.linalg.eigh(P @ S @ P)
+        off_gauge = np.linalg.norm(P @ U, axis=0) > 0.5
+        v = U[:, off_gauge][:, np.argmin(lam[off_gauge])]
+        assert np.max(np.abs(T.T @ v)) <= 1e-12
+        assert ratio(v) == pytest.approx(low, rel=1e-12)
+        assert np.sum(np.abs(np.linalg.eigvalsh(M)) < low / 8) == 2
+        assert np.linalg.eigvalsh(S)[0] < 0 < low
+
+
 def test_check_rsc_falls_back_when_retries_run_out(monkeypatch):
     # a tight side condition (c_a = 0.05) rejects every x draw, so 3 redraws
-    # spend the budget: each of the 16 x draws then keeps a rejected
-    # candidate and each direction falls back to the raw difference of its pair
+    # spend the budget: each of the 4 x draws then keeps a rejected candidate
     monkeypatch.setattr(verify, "_REJECTION_BUDGET", 3)
     monkeypatch.setattr(verify, "_C_A", 0.05)
     inst = make_instance(Dimensions(s=2, m=200, K=4), seed=2)
-    rep = check_rsc(inst, 2, 3, 0.3, 5)
-    assert rep.point_failures == 16
-    assert rep.direction_failures == 3
-    assert rep.sampling_failures == 19
-    assert rep.samples_tested == 6
+    rep = check_rsc(inst, 2, 0.3, 5)
+    assert rep.sampling_failures == 4
+    assert rep.n_points == 2
     assert rep.passed is False
     assert np.isfinite(rep.min_quadratic_ratio)
 
 
 def test_check_rsc_side_conditions_bind_on_some_draws(monkeypatch):
-    # with c_a = 2 the side conditions reject some draws and accept others,
-    # so the counts pin which draws each incoherence test accepts
-    monkeypatch.setattr(verify, "_REJECTION_BUDGET", 20)
+    # with c_a = 2 the side conditions reject most x draws and accept some,
+    # so the count pins which draws each incoherence test accepts
+    monkeypatch.setattr(verify, "_REJECTION_BUDGET", 40)
     monkeypatch.setattr(verify, "_C_A", 2.0)
     inst = make_instance(Dimensions(s=1, m=100, K=3), kappa=1.0, sigma=0.05, seed=3)
-    rep = check_rsc(inst, 3, 3, 0.3, 3)
-    assert (rep.point_failures, rep.direction_failures) == (7, 3)
+    rep = check_rsc(inst, 3, 0.3, 3)
+    assert rep.sampling_failures == 2
 
 
 def test_check_rsc_draws_are_bounded_by_one_budget(monkeypatch):
     # at delta = 1 most draws break a side condition; the check spends its
-    # budget of redraws on top of one draw per source, point and pair member
-    # (2s (n_points + 2 n_dirs) = 36), and reports the shortfall as a failure
+    # budget of redraws on top of one draw per source and point
+    # (2s n_points = 12), and reports the shortfall as a failure
     inst = make_instance(Dimensions(s=2, m=400, K=6), kappa=1.0, sigma=0.05, seed=1)
     draw = _rng.complex_standard_normal
     calls = []
     monkeypatch.setattr(
         _rng, "complex_standard_normal", lambda *a: calls.append(1) or draw(*a)
     )
-    rep = check_rsc(inst, 3, 3, 1.0, 1)
-    assert len(calls) == verify._REJECTION_BUDGET + 36
+    rep = check_rsc(inst, 3, 1.0, 1)
+    assert len(calls) == verify._REJECTION_BUDGET + 12
     assert rep.sampling_failures > 0
     assert rep.passed is False
-
-
-def test_check_rsc_charges_a_pair_redraw_4s_draws(monkeypatch):
-    # at delta = 0.5 this check makes 7 pair attempts for its 5 directions,
-    # so it redraws 2 pairs; its 606 draws are the 2s (n_points + 2 n_dirs) =
-    # 52 first ones, 2 * 4s = 16 for the pairs and 538 for single points. The
-    # smallest budget that pays every redraw is then 538 + 2 * 4s = 554
-    inst = make_instance(Dimensions(s=2, m=400, K=6), kappa=1.0, sigma=0.05, seed=1)
-    draw, align = _rng.complex_standard_normal, metrics.align_source
-    calls = {"draw": 0, "pair": 0}
-
-    def counted(key, f):
-        return lambda *a: calls.__setitem__(key, calls[key] + 1) or f(*a)
-
-    monkeypatch.setattr(_rng, "complex_standard_normal", counted("draw", draw))
-    monkeypatch.setattr(metrics, "align_source", counted("pair", align))
-    rep = check_rsc(inst, 3, 5, 0.5, 1)
-    assert calls == {"draw": 606, "pair": 7}
-    assert rep.sampling_failures == 0 and rep.passed is True
-    failures = {}
-    for budget in (554, 553):
-        monkeypatch.setattr(verify, "_REJECTION_BUDGET", budget)
-        rep = check_rsc(inst, 3, 5, 0.5, 1)
-        failures[budget] = (rep.point_failures, rep.direction_failures)
-    # the last redraw is a point's, so one short of 554 keeps one rejected point
-    assert failures == {554: (0, 0), 553: (1, 0)}
 
 
 def test_check_rsc_memory_is_a_few_source_designs():
     # the working set is one source's (m, 2K) Jacobian and (4K, 4K)
     # curvature beside the (m, s) forward parts, so the peak stays a few of
-    # one source's design bytes as s grows (measured 2.99x at s = 1 and
-    # 3.76x at s = 4); one Jacobian per source would take s = 4 past 8x
+    # one source's design bytes as s grows (measured 3.11x at s = 1 and
+    # 3.88x at s = 4); one Jacobian per source would take s = 4 past 8x
     m, K = 6400, 8
     peaks = []
     for s in (1, 4):
         inst = make_instance(Dimensions(s=s, m=m, K=K), kappa=1.0, sigma=0.0, seed=s)
         tracemalloc.start()
         try:
-            check_rsc(inst, n_points=3, n_dirs=2, delta=0.1, rng_seed=1)
+            check_rsc(inst, n_points=3, delta=0.1, rng_seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -238,10 +247,10 @@ def test_check_rsc_memory_is_a_few_source_designs():
 
 def test_check_rsc_input_validation(small_instance):
     with pytest.raises(ValueError):
-        check_rsc(small_instance, n_points=0, n_dirs=5, delta=0.1, rng_seed=1)
+        check_rsc(small_instance, n_points=0, delta=0.1, rng_seed=1)
     blind = dataclasses.replace(small_instance, truth=None)
     with pytest.raises(ValueError):
-        check_rsc(blind, n_points=2, n_dirs=2, delta=0.1, rng_seed=1)
+        check_rsc(blind, n_points=2, delta=0.1, rng_seed=1)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan")])
@@ -249,7 +258,7 @@ def test_check_rsc_rejects_a_radius_that_is_not_positive(small_instance, delta):
     # delta = 0 would spend the whole draw budget on an empty ball, and a
     # negative delta would draw with a negative radius
     with pytest.raises(ValueError, match="delta > 0"):
-        check_rsc(small_instance, n_points=2, n_dirs=2, delta=delta, rng_seed=1)
+        check_rsc(small_instance, n_points=2, delta=delta, rng_seed=1)
 
 
 @pytest.mark.parametrize("n_points", [1, 4])
@@ -263,7 +272,7 @@ def test_check_rsc_forms_the_truth_forward_map_once(monkeypatch, n_points):
 
     monkeypatch.setattr(objective, "forward_parts", counted(objective.forward_parts))
     monkeypatch.setattr(verify, "forward_parts", counted(verify.forward_parts))
-    check_rsc(inst, n_points=n_points, n_dirs=2, delta=0.1, rng_seed=1)
+    check_rsc(inst, n_points=n_points, delta=0.1, rng_seed=1)
     assert len(calls) == n_points + 1
 
 
@@ -358,7 +367,7 @@ def test_leave_one_out_matches_runs_on_deleted_measurement():
             g = metrics.aligned_error(h, x, ref_h, ref_x)[1]
             want = metrics.dist_from_errors(g, truth.d)
             assert out["per_l"][t, k] == pytest.approx(want, rel=1e-12)
-            assert out["dist_truth"][t] == align.dist(truth.d)
+            assert out["dist_truth"][t] == metrics.dist_from_errors(align.error, truth.d)
 
 
 @settings(max_examples=10, deadline=None)
