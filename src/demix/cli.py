@@ -30,6 +30,9 @@ _READS = dict.fromkeys(("convergence", "condition_number", "noise_sweep", "incoh
                        asdict(SolverConfig()))
 _READS.update((name, dict(check.__kwdefaults__)) for name, check in verify.CHECKS.items())
 EXPERIMENTS = tuple(_READS)
+# verify_* experiments that need m >= 2, and why
+_NEEDS_TWO = {"verify_rsc": "check_rsc's side conditions divide by log m",
+              "verify_loo": "a held-out run has no measurement left to fit"}
 
 CSV_HEADER = "iter,loss,relative_error,dist,inc_a,inc_b,max_alignment_ratio,errors"
 SUMMARY_HEADER = "K,s,m,eta,kappa,sigma,seed,snr_db,final_relative_error,iters"
@@ -152,9 +155,8 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
     if any(l >= dims[0].m for l in settings.get("l_set", ())):
         raise UsageError(f"l_set entries must be < m = {dims[0].m}")
-    if experiment == "verify_rsc" and dims[0].m < 2:
-        raise UsageError(f"verify_rsc needs m >= 2, got m={dims[0].m}: "
-                         "check_rsc's side conditions divide by log m")
+    if experiment in _NEEDS_TWO and dims[0].m < 2:
+        raise UsageError(f"{experiment} needs m >= 2, got m={dims[0].m}: {_NEEDS_TWO[experiment]}")
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise UsageError(f"output_dir must be a string, got {output_dir!r}")
@@ -344,12 +346,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed, args.out)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[args.command](cfg)
+        return _DISPATCH[args.command](load_config(args.config, args.seed, args.out))
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -234,7 +234,7 @@ def synthesize_measurements(
         raise ShapeError(f"truth K {truth.h.shape[1]} != B K {B.shape[1]}")
     fwd = forward_parts(truth.h, truth.x, A, B)[2]
     if sigma == 0:
-        return fwd.copy(), np.zeros(0, dtype=complex)
+        return fwd, np.zeros(0, dtype=complex)
     gen = _rng.stream(rng_seed, _rng.TAG_NOISE)
     scale = sigma * truth.d0 / np.sqrt(2 * m)
     n_re, n_im = _rng.normal_pairs(gen, m)

@@ -205,12 +205,13 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
     The main sequence is `run` on the instance; leave-one-out sequence l is
     `run(..., held_out=l)` on the same instance, whose mask on y[l] and on
     the residual's entry l deletes measurement l from the back-projection,
-    the loss and both gradients. No array of the instance is copied.
-    Each run takes max_iters steps of size eta. At every iteration the main
-    iterate is aligned to the truth and each leave-one-out iterate onto that
-    aligned main iterate; the report carries per-iteration max-over-l
-    proximity. The runs see no truth, so they never stop early and keep only
-    their first and last records; a diverging run raises DivergenceError.
+    the loss and both gradients; only y is copied, for the held-out start.
+    It needs m >= 2. Each run takes max_iters steps of size eta. At every
+    iteration the main iterate is aligned to the truth and each leave-one-out
+    iterate onto that aligned main iterate; the report carries per-iteration
+    max-over-l proximity. The runs see no truth, so they never stop early and
+    keep only their first and last records; a diverging run raises
+    DivergenceError.
     """
     truth = inst.truth
     if truth is None:
@@ -219,6 +220,9 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
     if not l_set:
         raise ValueError("l_set must be nonempty")
     m = inst.dims.m
+    if m < 2:
+        raise ValueError(f"leave-one-out needs m >= 2, got m={m}: a held-out run has "
+                         "no measurement left to fit")
     for l in l_set:
         if not 0 <= l < m:
             raise IndexError(f"held-out index {l} outside [0, {m})")
@@ -238,19 +242,12 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
 
     blind = dataclasses.replace(inst, truth=None)
     run(blind, cfg, on_iterate=on_main)
-    if m == 1:
-        # the leave-one-out loss is identically zero, so each sequence stays
-        # at its zero start, whose aligned error is the reference energy
-        for t, (hs, xs) in enumerate(zip(ref_h, ref_x)):
-            g = [np.linalg.norm(h) ** 2 + np.linalg.norm(x) ** 2 for h, x in zip(hs, xs)]
-            per_l[t] = metrics.dist_from_errors(g, truth.d)
-    else:
-        for k, l in enumerate(l_set):
-            def on_loo(t, state):
-                g = metrics.aligned_error(state.h, state.x, ref_h[t], ref_x[t])[1]
-                per_l[t, k] = metrics.dist_from_errors(g, truth.d)
+    for k, l in enumerate(l_set):
+        def on_loo(t, state):
+            g = metrics.aligned_error(state.h, state.x, ref_h[t], ref_x[t])[1]
+            per_l[t, k] = metrics.dist_from_errors(g, truth.d)
 
-            run(blind, cfg, on_iterate=on_loo, held_out=l)
+        run(blind, cfg, on_iterate=on_loo, held_out=l)
     return {
         "iters": np.arange(T + 1),
         "per_l": per_l,
@@ -258,7 +255,6 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
         "dist_truth": dist_truth,
         "dist_initial": float(dist_truth[0]),
         "l_set": l_set,
-        "degenerate": m == 1,
     }
 
 
@@ -303,7 +299,7 @@ def _loo(dims, kappa, sigma, seed, *, l_set=(), n_holdout=8, loo_factor=0.1,
     passed = bool(res["dist_initial"] > 0 and max_proximity < loo_factor * res["dist_initial"])
     params = {"eta": eta, "max_iters": max_iters, "l_set": l_set, "loo_factor": loo_factor}
     metrics_out = {"series": res["series"], "dist_initial": res["dist_initial"],
-                   "max_proximity": max_proximity, "degenerate": res["degenerate"]}
+                   "max_proximity": max_proximity}
     return params, metrics_out, passed
 
 

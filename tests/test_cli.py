@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from demix import solver, verify
-from demix.cli import CSV_HEADER, SUMMARY_HEADER, load_config, main
+from demix.cli import _READS, CSV_HEADER, SUMMARY_HEADER, load_config, main
 from demix.metrics import align_source
 from demix.problem import Dimensions, load_instance, make_instance
 from demix.solver import DegenerateIterateError, SolverConfig, run
@@ -226,6 +226,8 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
          "dims entries take exactly the keys s, m, K"),
         ({"dims": []}, "dims list is empty"),
         ({"dims": {"s": 1, "m": 1, "K": 1}}, "verify_rsc needs m >= 2, got m=1"),
+        ({"experiment": "verify_loo", "dims": {"s": 1, "m": 1, "K": 1}},
+         "verify_loo needs m >= 2, got m=1"),
         ({"experiment": "verify_loo", "l_set": [0, 64]}, "l_set entries must be < m = 64"),
         ({"experiment": "verify_loo", "n_points": 10}, "verify_loo does not read ['n_points']"),
         # the solver keys a check does not read: verify_loo's runs see no
@@ -245,7 +247,7 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
          "m_sweep entries must be >= K = 450"),
     ],
     ids=["kappa_list", "sigma_list", "dims_list", "dims_unknown_key", "dims_empty",
-         "rsc_m_below_2", "l_set_at_m", "unread_extra",
+         "rsc_m_below_2", "loo_m_below_2", "l_set_at_m", "unread_extra",
          "rsc_eta", "rsc_n_dirs", "spectral_max_iters", "loo_stop_tol", "loo_record_every",
          "l_set_with_n_holdout", "default_m_sweep_below_K"],
 )
@@ -265,6 +267,33 @@ def test_experiments_take_the_solver_keys_they_read(tmp_path, experiment):
         keys = {"eta": 0.3, "max_iters": 7}
     cfg = load_config(write_config(tmp_path, experiment=experiment, **keys))
     assert {key: cfg.settings[key] for key in keys} == keys
+
+
+def test_readme_key_table_matches_the_reads_table():
+    # a config key added to or removed from _READS must be added to or removed
+    # from README's `| Key | Default | Read by |` table, with its readers
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(n for n, line in enumerate(lines) if line.strip() == "| Key | Default | Read by |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.strip().startswith("|"):
+            break
+        cells = line.strip().strip("|").split("|")
+        key, default, readers = (cell.strip().strip("`") for cell in cells)
+        table[key] = (default, {r.strip().strip("`") for r in readers.split(",")})
+    solver_experiments = {"convergence", "condition_number", "noise_sweep", "incoherence"}
+    assert set(table) == set().union(*_READS.values())
+    for key, (default, readers) in table.items():
+        named = set().union(*(solver_experiments if r == "solver experiments" else {r}
+                              for r in readers))
+        assert named == {exp for exp, reads in _READS.items() if key in reads}, key
+        try:
+            documented = json.loads(default)
+        except json.JSONDecodeError:
+            continue  # a default described in words
+        for exp in named:
+            want = _READS[exp][key]
+            assert documented == (list(want) if isinstance(want, tuple) else want), (key, exp)
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -473,7 +502,7 @@ def test_verify_loo_report_pass_and_fail(tmp_path):
     }
     assert report["params"]["dims"] == {"s": 1, "m": 800, "K": 8}
     assert report["params"]["loo_factor"] == 0.1
-    assert set(report["metrics"]) == {"series", "dist_initial", "max_proximity", "degenerate"}
+    assert set(report["metrics"]) == {"series", "dist_initial", "max_proximity"}
     assert len(report["metrics"]["series"]) == 61
     assert len(report["params"]["l_set"]) == 4
     assert report["metrics"]["max_proximity"] < 0.1 * report["metrics"]["dist_initial"]

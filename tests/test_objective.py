@@ -156,6 +156,13 @@ def test_clean_requires_truth(small_instance):
         clean_residuals(st, bare)
 
 
+@pytest.mark.parametrize("h_shape, x_shape", [((2, 4), (2, 3)), ((4,), (4,))],
+                         ids=["h_x_differ", "not_2d"])
+def test_state_rejects_bad_shapes(h_shape, x_shape):
+    with pytest.raises(ShapeError, match="h and x must both be"):
+        DemixState(h=np.ones(h_shape, dtype=complex), x=np.ones(x_shape, dtype=complex))
+
+
 def test_state_shape_mismatch(small_instance):
     st = DemixState(h=np.ones((3, 4), dtype=complex), x=np.ones((3, 4), dtype=complex))
     with pytest.raises(ShapeError):

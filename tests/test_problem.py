@@ -145,18 +145,6 @@ def test_fft_and_matmul_paths_agree(s, m, K):
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
 
 
-@pytest.mark.parametrize("make_B", [make_dft_rows], ids=["fft"])
-def test_noise_identity_exact_on_both_paths(make_B):
-    # the FFT is the one product path left; a copied B is rejected above
-    dims = Dimensions(s=3, m=97, K=5)
-    B = make_B(dims.m, dims.K)
-    A = sample_design(dims, 6)
-    truth = sample_ground_truth(dims, 2.0, 6)
-    y, e = synthesize_measurements(truth, A, B, 0.2, 6)
-    fwd = forward_parts(truth.h, truth.x, A, B)[2]
-    assert np.array_equal(fwd + e, y) and np.array_equal(y - fwd, e)
-
-
 # -------------------------------------------------------------- ground truth
 
 
@@ -265,9 +253,10 @@ def test_forward_matches_naive(small_instance):
     assert np.allclose(fwd, ref, rtol=1e-12, atol=1e-13)
 
 
-def test_noise_identity_exact(noisy_instance):
-    inst = noisy_instance
+def test_noise_identity_exact():
+    inst = make_instance(Dimensions(s=3, m=97, K=5), kappa=2.0, sigma=0.2, seed=6)
     fwd = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
+    assert np.array_equal(fwd + inst.e, inst.y)
     assert np.array_equal(inst.y - fwd, inst.e)
     truth_state = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     assert np.array_equal(residuals(truth_state, inst), -inst.e)
@@ -344,6 +333,44 @@ def test_check_instance_shape_errors(small_instance):
     bad.y = inst.y[:-1]
     with pytest.raises(ShapeError):
         check_instance(bad)
+
+
+def _version_two(tmp_path, inst):
+    path = tmp_path / "inst.bin"
+    save_instance(inst, path)
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (2).to_bytes(4, "little")  # the version word follows the magic
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda inst, tmp: dataclasses.replace(inst, B=make_dft_rows(25, 4)), ShapeError,
+         "B must be"),
+        (lambda inst, tmp: dataclasses.replace(inst, e=np.zeros(3, dtype=complex)), ShapeError,
+         "e must be"),
+        (lambda inst, tmp: dataclasses.replace(
+            inst, truth=sample_ground_truth(Dimensions(s=2, m=24, K=3), 1.0, 1)), ShapeError,
+         "truth must be"),
+        (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A, inst.B, -0.1, 1),
+         ValueError, "sigma must be >= 0"),
+        (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A[:, :-1], inst.B, 0.0, 1),
+         ShapeError, "A and B disagree on m"),
+        (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A, make_dft_rows(24, 3),
+                                                   0.0, 1), ShapeError, "truth K 4 != B K 3"),
+        (lambda inst, tmp: load_instance(_version_two(tmp, inst)), ValueError,
+         "unsupported container version 2"),
+        (lambda inst, tmp: _rng.stream(1, 256), ValueError, "stream tag out of range: 256"),
+        (lambda inst, tmp: _rng.stream(1, -1), ValueError, "stream tag out of range: -1"),
+    ],
+    ids=["check_instance_B", "check_instance_e", "check_instance_truth", "synthesize_sigma",
+         "synthesize_m", "synthesize_K", "load_version", "stream_tag_256", "stream_tag_neg"],
+)
+def test_guards_reject_bad_input(small_instance, tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(small_instance, tmp_path)
 
 
 # -------------------------------------------------------------- serialization

@@ -1,5 +1,6 @@
 """Spectral initialization, the scaled-step loop, and trajectory recording."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,22 @@ def test_leading_triple_tied_top_pair():
     sigma, u, v = leading_triple(M)
     assert sigma == pytest.approx(1.0, rel=1e-9)
     assert np.linalg.norm(M @ v - sigma * u) <= 1e-8
+
+
+def test_stacked_leading_triple_holds_each_matrix_bits():
+    # one SVD call on the stack gives, in row i, the call on matrix i alone,
+    # a zero matrix and a tied top pair included
+    gen = np.random.default_rng(16)
+    Ms = gen.standard_normal((4, 5, 5)) + 1j * gen.standard_normal((4, 5, 5))
+    Ms[1] = 0
+    Ms[2] = np.diag([1.0, 1.0, 0.25, 0.0, 0.0])
+    sigma, u, v = leading_triple(Ms)
+    assert sigma.shape == (4,) and u.shape == v.shape == (4, 5)
+    assert sigma[1] == 0 and np.all(u[1] == 0)
+    for i, M in enumerate(Ms):
+        one = leading_triple(M)
+        for got, want in zip((sigma[i], u[i], v[i]), one):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ----------------------------------------------------------------- initializer
@@ -187,6 +204,16 @@ def test_loss_gauge_invariance_and_phase_commutation(small_instance):
 
 
 # ------------------------------------------------------------------- full runs
+
+
+def test_truthless_run_records_only_the_loss(small_instance):
+    blind = dataclasses.replace(small_instance, truth=None)
+    _, recs = run(blind, SolverConfig(eta=0.2, max_iters=3))
+    assert [r.iter for r in recs] == [0, 1, 2, 3]
+    for r in recs:
+        assert np.isfinite(r.loss)
+        assert r.relative_error is None and r.dist is None
+        assert r.max_alignment_ratio is None
 
 
 @pytest.mark.parametrize(

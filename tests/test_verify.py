@@ -334,17 +334,13 @@ def test_deleting_one_measurement_from_backprojection(small_instance):
 def test_leave_one_out_trajectories_report():
     inst = make_instance(Dimensions(s=2, m=48, K=3), kappa=1.5, sigma=0.1, seed=5)
     out = leave_one_out_trajectories(inst, [0, 7], eta=0.1, max_iters=5)
-    assert sorted(out.keys()) == [
-        "degenerate", "dist_initial", "dist_truth", "iters",
-        "l_set", "per_l", "series",
-    ]
+    assert sorted(out.keys()) == ["dist_initial", "dist_truth", "iters", "l_set", "per_l", "series"]
     assert np.array_equal(out["iters"], np.arange(6))
     assert out["per_l"].shape == (6, 2)
     assert np.all(np.isfinite(out["per_l"]))
     assert np.array_equal(out["series"], out["per_l"].max(axis=1))
     assert out["dist_initial"] == out["dist_truth"][0]
     assert out["l_set"] == [0, 7]
-    assert out["degenerate"] is False
 
 
 def test_leave_one_out_matches_runs_on_deleted_measurement():
@@ -400,11 +396,18 @@ def test_leave_one_out_validation(small_instance):
         leave_one_out_trajectories(blind, [0], eta=0.1, max_iters=2)
 
 
-def test_leave_one_out_single_measurement_is_degenerate():
+@pytest.mark.parametrize(
+    "check",
+    [lambda inst: check_rsc(inst, n_points=1, delta=0.1, rng_seed=1),
+     lambda inst: leave_one_out_trajectories(inst, [0], eta=0.1, max_iters=2)],
+    ids=["check_rsc", "leave_one_out"],
+)
+def test_checks_need_two_measurements(check):
+    # check_rsc's side conditions divide by log m, and a held-out run at
+    # m = 1 has no measurement left to fit
     inst = make_instance(Dimensions(s=1, m=1, K=1), kappa=1.0, sigma=0.0, seed=1)
-    out = leave_one_out_trajectories(inst, [0], eta=0.1, max_iters=2)
-    assert out["degenerate"] is True
-    assert np.all(np.isfinite(out["series"]))
+    with pytest.raises(ValueError, match="needs m >= 2, got m=1"):
+        check(inst)
 
 
 # -------------------------------------------------------------------- reports
