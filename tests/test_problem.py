@@ -145,6 +145,18 @@ def test_fft_and_matmul_paths_agree(s, m, K):
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
 
 
+@pytest.mark.parametrize("make_B", [make_dft_rows], ids=["fft"])
+def test_noise_identity_exact_on_both_paths(make_B):
+    # the FFT is the one product path left; a copied B is rejected above
+    dims = Dimensions(s=3, m=97, K=5)
+    B = make_B(dims.m, dims.K)
+    A = sample_design(dims, 6)
+    truth = sample_ground_truth(dims, 2.0, 6)
+    y, e = synthesize_measurements(truth, A, B, 0.2, 6)
+    fwd = forward_parts(truth.h, truth.x, A, B)[2]
+    assert np.array_equal(fwd + e, y) and np.array_equal(y - fwd, e)
+
+
 # -------------------------------------------------------------- ground truth
 
 
@@ -253,10 +265,9 @@ def test_forward_matches_naive(small_instance):
     assert np.allclose(fwd, ref, rtol=1e-12, atol=1e-13)
 
 
-def test_noise_identity_exact():
-    inst = make_instance(Dimensions(s=3, m=97, K=5), kappa=2.0, sigma=0.2, seed=6)
+def test_noise_identity_exact(noisy_instance):
+    inst = noisy_instance
     fwd = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
-    assert np.array_equal(fwd + inst.e, inst.y)
     assert np.array_equal(inst.y - fwd, inst.e)
     truth_state = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     assert np.array_equal(residuals(truth_state, inst), -inst.e)
