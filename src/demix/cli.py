@@ -151,10 +151,15 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     if {"l_set", "n_holdout"} <= set(values):
         raise UsageError("give l_set or n_holdout, not both: n_holdout only sizes a drawn l_set")
     settings = {key: values.pop(key, default) for key, default in reads.items()}
-    if any(m < dims[0].K for m in settings.get("m_sweep", ())):
+    m_sweep, l_set = settings.get("m_sweep", ()), settings.get("l_set", ())
+    if any(m < dims[0].K for m in m_sweep):
         raise UsageError(f"m_sweep entries must be >= K = {dims[0].K}")
-    if any(l >= dims[0].m for l in settings.get("l_set", ())):
+    if any(a >= b for a, b in zip(m_sweep, m_sweep[1:])):
+        raise UsageError(f"m_sweep must be strictly increasing, got {m_sweep}")
+    if any(l >= dims[0].m for l in l_set):
         raise UsageError(f"l_set entries must be < m = {dims[0].m}")
+    if len(set(l_set)) < len(l_set):
+        raise UsageError(f"l_set must not repeat an index, got {l_set}")
     if experiment in _NEEDS_TWO and dims[0].m < 2:
         raise UsageError(f"{experiment} needs m >= 2, got m={dims[0].m}: {_NEEDS_TWO[experiment]}")
     output_dir = raw.get("output_dir", "out")

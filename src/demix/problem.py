@@ -2,17 +2,19 @@
 
 Measurement model: y_j = sum_i b_j^* h_i x_i^* a_ij + e_j for j = 0..m-1,
 with b_j the j-th row of the first K columns of the unitary m-point DFT,
-a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e. Every instance's B is
-those rows, so the products with them are taken by FFT; check_instance
-rejects any other B.
+a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e. An instance holds only
+what it cannot derive: its B is make_dft_rows(m, K), set from its dimensions
+and shared by every instance of that size, so the products with B are taken
+by FFT; its truth's scales d, d0 and kappa are set from the planted pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,43 +61,47 @@ class Dimensions:
 
 @dataclass
 class GroundTruth:
-    """The s planted pairs (h_i, x_i) with derived scale parameters.
+    """The s planted pairs (h_i, x_i) and the scales derived from them.
 
-    h, x are (s, K) arrays whose rows are the source vectors.
-    d[i] = ||h_i||^2 + ||x_i||^2, d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2),
-    kappa = max_i ||x_i|| / min_i ||x_i||. The incoherence mu also depends
-    on B, so it is not stored here: metrics.incoherence_mu(truth, B) gives it.
+    h, x are (s, K) arrays whose rows are the source vectors; they are the
+    only arguments. d[i] = ||h_i||^2 + ||x_i||^2,
+    d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2) and
+    kappa = max_i ||x_i|| / min_i ||x_i|| are set from them, and a source with
+    ||h_i|| = 0 or ||x_i|| = 0 is a ValueError naming it. The incoherence mu
+    also depends on B, so it is not stored here:
+    metrics.incoherence_mu(truth, B) gives it.
     """
 
     h: np.ndarray
     x: np.ndarray
-    d: np.ndarray
-    d0: float
-    kappa: float
+    d: np.ndarray = field(init=False)
+    d0: float = field(init=False)
+    kappa: float = field(init=False)
 
-    @classmethod
-    def from_pairs(cls, h: np.ndarray, x: np.ndarray) -> "GroundTruth":
-        """The truth with rows h_i, x_i and its derived d, d0 and kappa."""
-        hn2 = np.sum(np.abs(h) ** 2, axis=1)
-        xn2 = np.sum(np.abs(x) ** 2, axis=1)
+    def __post_init__(self):
+        hn2 = np.sum(np.abs(self.h) ** 2, axis=1)
+        xn2 = np.sum(np.abs(self.x) ** 2, axis=1)
+        for name, n2 in (("h", hn2), ("x", xn2)):
+            zero = np.flatnonzero(n2 == 0)
+            if zero.size:
+                raise ValueError(f"truth source {zero[0]} has ||{name}_{zero[0]}|| = 0: "
+                                 "d, d0 and kappa need every ||h_i||, ||x_i|| > 0")
         xn = np.sqrt(xn2)
-        return cls(
-            h=h,
-            x=x,
-            d=hn2 + xn2,
-            d0=float(np.sqrt(np.sum(hn2 * xn2))),
-            kappa=float(xn.max() / xn.min()),
-        )
+        self.d = hn2 + xn2
+        self.d0 = float(np.sqrt(np.sum(hn2 * xn2)))
+        self.kappa = float(xn.max() / xn.min())
 
 
 @dataclass
 class ProblemInstance:
     """One synthetic instance: design tensors, measurements, optional truth.
-    B is make_dft_rows(m, K), as check_instance requires."""
+
+    B is not an argument: it is set to make_dft_rows(m, K), the one cached
+    array of the DFT rows for these dimensions."""
 
     dims: Dimensions
     A: np.ndarray  # (s, m, K) design vectors a_ij
-    B: np.ndarray  # (m, K) DFT rows b_j
+    B: np.ndarray = field(init=False)  # (m, K) DFT rows b_j
     y: np.ndarray  # (m,) measurements
     e: np.ndarray  # noise actually added; length 0 in noiseless mode
     sigma: float
@@ -104,26 +110,16 @@ class ProblemInstance:
 
     def __post_init__(self):
         self.seed = int(self.seed) & _MASK64
+        self.B = make_dft_rows(self.dims.m, self.dims.K)
         check_instance(self)
 
 
 def check_instance(inst: ProblemInstance) -> None:
-    """Shape validation used by every public entry point, and an O(K) guard
-    that B is make_dft_rows(m, K): B must be read-only, which copies, edited
-    copies and np.delete'd rows are not, and its row 1 (row 0 at m = 1) must
-    hold the DFT's bits for this m, which a row slice for another m does not.
-    """
+    """Shape validation used by every public entry point. B is not checked:
+    it is derived from the dimensions, never passed in."""
     s, m, K = inst.dims.s, inst.dims.m, inst.dims.K
     if inst.A.shape != (s, m, K):
         raise ShapeError(f"A must be (s, m, K)={(s, m, K)}, got {inst.A.shape}")
-    if inst.B.shape != (m, K):
-        raise ShapeError(f"B must be (m, K)={(m, K)}, got {inst.B.shape}")
-    j = min(1, m - 1)
-    if inst.B.flags.writeable or inst.B[j].tobytes() != _dft_block(j, j + 1, m, K).tobytes():
-        raise ValueError(
-            f"B must be the read-only array make_dft_rows({m}, {K}) returns: products "
-            "with B are taken by FFT, which holds for those rows only"
-        )
     if inst.y.shape != (m,):
         raise ShapeError(f"y must be ({m},), got {inst.y.shape}")
     if inst.e.shape not in ((m,), (0,)):
@@ -132,26 +128,21 @@ def check_instance(inst: ProblemInstance) -> None:
         raise ShapeError(f"truth must be (s, K)={(s, K)}, got {inst.truth.h.shape}")
 
 
-def _dft_block(lo: int, hi: int, m: int, K: int) -> np.ndarray:
-    """Rows lo..hi-1 of make_dft_rows(m, K); every entry is computed alone,
-    so a block holds the same bits as the same rows of the whole matrix."""
-    j = np.arange(lo, hi)[:, None]
-    k = np.arange(K)[None, :]
-    return np.exp(-2j * np.pi * (j * k) / m) / np.sqrt(m)
-
-
+@functools.lru_cache(maxsize=1)
 def make_dft_rows(m: int, K: int) -> np.ndarray:
     """Rows b_j of the first K columns of the unitary m-point DFT.
 
     b_j[k] = exp(-2*pi*i*j*k/m) / sqrt(m), zero-based j and k. The rows
-    satisfy sum_j b_j b_j^* = I_K and ||b_j||^2 = K/m. The array is
-    read-only: forward_parts and combine_rows take their products with it by
-    FFT, and check_instance rejects a writeable B, so a copy or an edited
-    copy cannot stand in for it.
+    satisfy sum_j b_j b_j^* = I_K and ||b_j||^2 = K/m. The last (m, K) is
+    cached, so every instance of one size holds this same read-only array
+    as its B, and forward_parts and combine_rows take their products with
+    it by FFT.
     """
     if m < K:
         raise DimensionError(f"m >= K required, got m={m}, K={K}")
-    B = _dft_block(0, m, m, K)
+    j = np.arange(m)[:, None]
+    k = np.arange(K)[None, :]
+    B = np.exp(-2j * np.pi * (j * k) / m) / np.sqrt(m)
     B.flags.writeable = False
     return B
 
@@ -191,7 +182,7 @@ def sample_ground_truth(dims: Dimensions, kappa: float, rng_seed: int) -> Ground
     for i in range(s):
         h[i] = norms[i] * raw[2 * i] / np.linalg.norm(raw[2 * i])
         x[i] = norms[i] * raw[2 * i + 1] / np.linalg.norm(raw[2 * i + 1])
-    return GroundTruth.from_pairs(h, x)
+    return GroundTruth(h, x)
 
 
 def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -256,11 +247,10 @@ def make_instance(
     dims: Dimensions, kappa: float = 1.0, sigma: float = 0.0, seed: int = 0
 ) -> ProblemInstance:
     """Full instance from one master seed (design, truth, noise streams split)."""
-    B = make_dft_rows(dims.m, dims.K)
     A = sample_design(dims, seed)
     truth = sample_ground_truth(dims, kappa, seed)
-    y, e = synthesize_measurements(truth, A, B, sigma, seed)
-    return ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=sigma, seed=seed, truth=truth)
+    y, e = synthesize_measurements(truth, A, make_dft_rows(dims.m, dims.K), sigma, seed)
+    return ProblemInstance(dims=dims, A=A, y=y, e=e, sigma=sigma, seed=seed, truth=truth)
 
 
 def instance_metadata(inst: ProblemInstance) -> dict:
@@ -321,74 +311,73 @@ def save_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n")
 
 
-def _check_dft_rows(B: np.ndarray, path) -> None:
-    """Reject a loaded B whose bytes are not make_dft_rows', block by block,
-    so the check never holds a second copy of B."""
-    m, K = B.shape
-    rows = max(1, _DFT_CHECK_BLOCK // K)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        if B[lo:hi].tobytes() != _dft_block(lo, hi, m, K).tobytes():
-            raise ValueError(
-                f"instance file {path} holds a B that is not the first {K} columns "
-                f"of the unitary {m}-point DFT (rows {lo}..{hi - 1} differ)"
-            )
-
-
 def load_instance(path) -> ProblemInstance:
     """Read a container written by save_instance; its size must match its header.
 
-    The payload is read straight into one array, which the instance's arrays
-    are views of, so loading never holds the file twice. B must be the bytes
-    make_dft_rows gives for the header's m and K, else ValueError naming the
-    file; it is then made read-only, as make_dft_rows' array is.
+    The file's B is compared, block by block as it is read, with
+    make_dft_rows' array for the header's m and K, which the instance then
+    holds; a B that differs is a ValueError naming the file. The rest of the
+    payload is read straight into one array, which the instance's other
+    arrays are views of, so loading never holds B or the payload twice.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
-        # an array of its own rather than a view at byte offset 60 of a
-        # buffer, so the payload is aligned for BLAS
-        body = np.empty(max(os.fstat(fh.fileno()).st_size - len(head), 0), dtype=np.uint8)
-        size = len(head) + fh.readinto(body)
-    if head[:8] != _MAGIC:
-        raise ValueError(f"not an instance file: {path}")
-    if len(head) < _HEADER_BYTES:
-        raise ValueError(f"instance file {path} is truncated inside its header")
-    version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", head, 8)
-    if version != _VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    if flags & ~(_FLAG_TRUTH | _FLAG_NOISE):
-        raise ValueError(f"instance file {path} has unknown flag bits: {flags:#x}")
-    tag = head[44:60]
-    if tag != CONVENTION.encode().ljust(16, b"\0"):
-        raise ValueError(f"instance file {path} has unknown convention tag {tag!r}")
-    shapes = {"B": (m, K), "A": (s, m, K), "y": (m,)}
-    if flags & _FLAG_NOISE:
-        shapes["e"] = (m,)
-    if flags & _FLAG_TRUTH:
-        shapes.update(h=(s, K), x=(s, K))
-    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
-    want = _HEADER_BYTES + 16 * int(ends[-1])
-    if size != want:
-        what = "truncated" if size < want else "followed by trailing bytes"
-        raise ValueError(
-            f"instance file {path} is {what}: {size} bytes, "
-            f"the header (s={s}, m={m}, K={K}, flags={flags}) implies {want}"
-        )
-    payload = body[: size - _HEADER_BYTES].view("<c16").astype(np.complex128, copy=False)
+        if head[:8] != _MAGIC:
+            raise ValueError(f"not an instance file: {path}")
+        if len(head) < _HEADER_BYTES:
+            raise ValueError(f"instance file {path} is truncated inside its header")
+        version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", head, 8)
+        if version != _VERSION:
+            raise ValueError(f"unsupported container version {version}")
+        if flags & ~(_FLAG_TRUTH | _FLAG_NOISE):
+            raise ValueError(f"instance file {path} has unknown flag bits: {flags:#x}")
+        tag = head[44:60]
+        if tag != CONVENTION.encode().ljust(16, b"\0"):
+            raise ValueError(f"instance file {path} has unknown convention tag {tag!r}")
+        shapes = {"A": (s, m, K), "y": (m,)}
+        if flags & _FLAG_NOISE:
+            shapes["e"] = (m,)
+        if flags & _FLAG_TRUTH:
+            shapes.update(h=(s, K), x=(s, K))
+        ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
+        want = _HEADER_BYTES + 16 * (m * K + int(ends[-1]))
+
+        def size_error(size):
+            what = "truncated" if size < want else "followed by trailing bytes"
+            return ValueError(
+                f"instance file {path} is {what}: {size} bytes, "
+                f"the header (s={s}, m={m}, K={K}, flags={flags}) implies {want}"
+            )
+
+        size = os.fstat(fh.fileno()).st_size
+        if size != want:
+            raise size_error(size)
+        dims = Dimensions(s=s, m=m, K=K)  # rejects K = 0 before the blocks divide by K
+        B = make_dft_rows(m, K)
+        rows = max(1, _DFT_CHECK_BLOCK // K)
+        for lo in range(0, m, rows):
+            block = memoryview(np.ascontiguousarray(B[lo : lo + rows], dtype="<c16")).cast("B")
+            got = fh.read(block.nbytes)
+            if len(got) < block.nbytes:
+                raise size_error(fh.tell())
+            if got != block:
+                raise ValueError(
+                    f"instance file {path} holds a B that is not the first {K} columns "
+                    f"of the unitary {m}-point DFT (rows {lo}..{min(lo + rows, m) - 1} differ)"
+                )
+        # an array of its own, so the payload is aligned for BLAS
+        body = np.empty(16 * int(ends[-1]), dtype=np.uint8)
+        if fh.readinto(body) < body.size:
+            raise size_error(fh.tell())
+    payload = body.view("<c16").astype(np.complex128, copy=False)
     arrays = {
         name: part.reshape(shape)
         for (name, shape), part in zip(shapes.items(), np.split(payload, ends[:-1]))
     }
-    dims = Dimensions(s=s, m=m, K=K)  # rejects K = 0 before the check divides by K
-    _check_dft_rows(arrays["B"], path)
-    arrays["B"].flags.writeable = False
-    truth = None
-    if flags & _FLAG_TRUTH:
-        truth = GroundTruth.from_pairs(arrays["h"], arrays["x"])
+    truth = GroundTruth(arrays["h"], arrays["x"]) if flags & _FLAG_TRUTH else None
     return ProblemInstance(
         dims=dims,
         A=arrays["A"],
-        B=arrays["B"],
         y=arrays["y"],
         e=arrays.get("e", np.zeros(0, dtype=complex)),
         sigma=sigma,

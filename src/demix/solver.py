@@ -51,10 +51,12 @@ class SolverConfig:
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        for name in ("max_iters", "record_every"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
         if self.stop_tol < 0:
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
 

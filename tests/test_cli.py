@@ -245,11 +245,18 @@ def test_verify_rejects_solver_experiments(tmp_path, capsys, command, overrides,
         # the default m_sweep [400, 1600, 6400] starts below K
         ({"experiment": "verify_spectral", "dims": {"s": 1, "m": 500, "K": 450}, "n_trials": 1},
          "m_sweep entries must be >= K = 450"),
+        # the check passes when the deviation falls along m_sweep, so its order matters
+        ({"experiment": "verify_spectral", "m_sweep": [1600, 400]},
+         "m_sweep must be strictly increasing, got [1600, 400]"),
+        ({"experiment": "verify_spectral", "m_sweep": [400, 400]},
+         "m_sweep must be strictly increasing, got [400, 400]"),
+        ({"experiment": "verify_loo", "l_set": [5, 5]}, "l_set must not repeat an index"),
     ],
     ids=["kappa_list", "sigma_list", "dims_list", "dims_unknown_key", "dims_empty",
          "rsc_m_below_2", "loo_m_below_2", "l_set_at_m", "unread_extra",
          "rsc_eta", "rsc_n_dirs", "spectral_max_iters", "loo_stop_tol", "loo_record_every",
-         "l_set_with_n_holdout", "default_m_sweep_below_K"],
+         "l_set_with_n_holdout", "default_m_sweep_below_K", "m_sweep_decreasing",
+         "m_sweep_repeated", "l_set_repeated"],
 )
 def test_verify_setting_usage_errors(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **dict({"experiment": "verify_rsc"}, **overrides))

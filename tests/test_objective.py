@@ -15,7 +15,6 @@ from demix.problem import (
     ProblemInstance,
     ShapeError,
     forward_parts,
-    make_dft_rows,
     make_instance,
 )
 
@@ -42,7 +41,6 @@ def scalar_instance():
     return ProblemInstance(
         dims=dims,
         A=one,
-        B=make_dft_rows(1, 1),
         y=np.zeros(1, dtype=complex),
         e=np.zeros(0, dtype=complex),
         sigma=0.0,
@@ -148,8 +146,7 @@ def test_clean_vs_measured_residuals(noisy_instance):
 def test_clean_requires_truth(small_instance):
     inst = small_instance
     bare = ProblemInstance(
-        dims=inst.dims, A=inst.A, B=inst.B, y=inst.y, e=inst.e,
-        sigma=inst.sigma, seed=inst.seed, truth=None,
+        dims=inst.dims, A=inst.A, y=inst.y, e=inst.e, sigma=inst.sigma, seed=inst.seed, truth=None,
     )
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     with pytest.raises(ValueError):

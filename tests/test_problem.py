@@ -33,6 +33,7 @@ from demix.problem import (
     synthesize_measurements,
 )
 from demix.solver import SolverConfig, run
+from demix.verify import leave_one_out_trajectories
 
 import oracles
 from oracles import naive_forward
@@ -93,36 +94,61 @@ def _zeroed_row(B):
 
 
 def _made_writeable(B):
-    B.flags.writeable = True
-    return B
+    C = B.copy()
+    C.flags.writeable = False
+    C.flags.writeable = True
+    return C
+
+
+def _read_only_edited(B):
+    C = B.copy()
+    C[5] = 0
+    C[7] *= 2
+    C.flags.writeable = False
+    return C
 
 
 @pytest.mark.parametrize(
     "other",
-    [np.copy, lambda B: B[:6], lambda B: np.delete(B, 3, axis=0), _zeroed_row, _made_writeable],
-    ids=["copy", "row-slice", "delete", "zeroed-row", "made-writeable"],
+    [np.copy, lambda B: B[:6], lambda B: np.delete(B, 3, axis=0), _zeroed_row, _made_writeable,
+     _read_only_edited],
+    ids=["copy", "row-slice", "delete", "zeroed-row", "made-writeable", "read-only-edited"],
 )
 def test_any_other_b_is_rejected(other):
-    # the FFT reads only B's shape, so any other B would give wrong products
+    # the FFT reads only B's shape, so any other B would give wrong products:
+    # B is derived from the dimensions and cannot be passed in
     inst = make_instance(Dimensions(s=2, m=8, K=3), kappa=1.5, sigma=0.1, seed=3)
     B = other(make_dft_rows(8, 3))
     m = B.shape[0]
-    fields = dict(dims=Dimensions(s=2, m=m, K=3), A=inst.A[:, :m], B=B, y=inst.y[:m],
-                  e=inst.e[:m])
-    with pytest.raises(ValueError, match="make_dft_rows"):
-        ProblemInstance(**fields, sigma=inst.sigma, seed=inst.seed, truth=inst.truth)
-    with pytest.raises(ValueError, match="make_dft_rows"):
-        dataclasses.replace(inst, **fields)
+    fields = dict(dims=Dimensions(s=2, m=m, K=3), A=inst.A[:, :m], y=inst.y[:m], e=inst.e[:m])
+    with pytest.raises(TypeError, match="'B'"):
+        ProblemInstance(**fields, B=B, sigma=inst.sigma, seed=inst.seed, truth=inst.truth)
+    with pytest.raises(ValueError, match="B is declared with init=False"):
+        dataclasses.replace(inst, **fields, B=B)
+    assert not make_dft_rows(8, 3).flags.writeable
+    assert inst.B is make_dft_rows(8, 3)
 
 
 def test_column_slice_of_dft_rows_is_accepted():
     # each entry is computed alone, so the slice holds make_dft_rows(8, 2)'s bytes
     B = make_dft_rows(8, 3)[:, :2]
-    assert B.tobytes() == make_dft_rows(8, 2).tobytes()
     inst = make_instance(Dimensions(s=2, m=8, K=2), kappa=1.5, sigma=0.1, seed=3)
-    cfg = SolverConfig(eta=0.1, max_iters=5)
-    want, got = run(inst, cfg)[0], run(dataclasses.replace(inst, B=B), cfg)[0]
-    assert got.h.tobytes() == want.h.tobytes() and got.x.tobytes() == want.x.tobytes()
+    assert inst.B.tobytes() == B.tobytes()
+
+
+def test_dft_rows_are_built_once_per_size(tmp_path):
+    make_dft_rows.cache_clear()
+    inst = make_instance(Dimensions(s=2, m=24, K=3), kappa=1.5, sigma=0.1, seed=3)
+    assert dataclasses.replace(inst, y=inst.y.copy()).B is inst.B
+    run(inst, SolverConfig(eta=0.1, max_iters=2), held_out=5)  # the held-out start's replace
+    leave_one_out_trajectories(inst, [0, 5], eta=0.1, max_iters=2)
+    save_instance(inst, tmp_path / "inst.bin")
+    back = load_instance(tmp_path / "inst.bin")
+    assert make_dft_rows.cache_info().misses == 1
+    assert back.B is inst.B is make_dft_rows(24, 3)
+    other = make_instance(Dimensions(s=2, m=30, K=4), kappa=1.5, sigma=0.1, seed=3)
+    assert make_dft_rows.cache_info().misses == 2
+    assert other.B is make_dft_rows(30, 4) and other.B.shape == (30, 4)
 
 
 @pytest.mark.parametrize("s,m,K", [(1, 1, 1), (2, 7, 3), (3, 97, 97), (2, 128, 6), (10, 2500, 50)])
@@ -147,7 +173,7 @@ def test_fft_and_matmul_paths_agree(s, m, K):
 
 @pytest.mark.parametrize("make_B", [make_dft_rows], ids=["fft"])
 def test_noise_identity_exact_on_both_paths(make_B):
-    # the FFT is the one product path left; a copied B is rejected above
+    # the FFT is the one product path left; an instance's B is always make_dft_rows'
     dims = Dimensions(s=3, m=97, K=5)
     B = make_B(dims.m, dims.K)
     A = sample_design(dims, 6)
@@ -358,8 +384,8 @@ def _version_two(tmp_path, inst):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda inst, tmp: dataclasses.replace(inst, B=make_dft_rows(25, 4)), ShapeError,
-         "B must be"),
+        (lambda inst, tmp: dataclasses.replace(inst, B=make_dft_rows(24, 4)), ValueError,
+         "B is declared with init=False"),
         (lambda inst, tmp: dataclasses.replace(inst, e=np.zeros(3, dtype=complex)), ShapeError,
          "e must be"),
         (lambda inst, tmp: dataclasses.replace(
@@ -422,8 +448,7 @@ def test_sidecar_stays_in_a_dotted_directory(tmp_path, noisy_instance):
 def test_save_load_without_truth(tmp_path, small_instance):
     inst = small_instance
     bare = ProblemInstance(
-        dims=inst.dims, A=inst.A, B=inst.B, y=inst.y, e=inst.e,
-        sigma=inst.sigma, seed=inst.seed, truth=None,
+        dims=inst.dims, A=inst.A, y=inst.y, e=inst.e, sigma=inst.sigma, seed=inst.seed, truth=None,
     )
     path = tmp_path / "bare.bin"
     save_instance(bare, path)
@@ -432,11 +457,14 @@ def test_save_load_without_truth(tmp_path, small_instance):
 
 
 def test_load_instance_peak_memory(tmp_path):
-    # the payload is read into the one array the instance's arrays view
+    # the file's B is compared block by block with make_dft_rows' array, built
+    # here from a cold cache, and the rest is read into the one array the
+    # instance's other arrays view
     inst = make_instance(Dimensions(s=10, m=1600, K=50), kappa=1.0, sigma=0.1, seed=4)
     path = tmp_path / "inst.bin"
     save_instance(inst, path)
     del inst
+    make_dft_rows.cache_clear()
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -466,7 +494,7 @@ def test_loaded_instance_runs_as_the_generated_one(tmp_path):
     inst = make_instance(Dimensions(s=2, m=64, K=4), kappa=1.5, sigma=0.1, seed=8)
     save_instance(inst, tmp_path / "inst.bin")
     back = load_instance(tmp_path / "inst.bin")
-    assert not back.B.flags.writeable
+    assert back.B is inst.B and not back.B.flags.writeable
     cfg = SolverConfig(eta=0.2, max_iters=30, record_every=1)
     (st_a, rec_a), (st_b, rec_b) = run(inst, cfg), run(back, cfg)
     assert st_a.h.tobytes() == st_b.h.tobytes() and st_a.x.tobytes() == st_b.x.tobytes()
@@ -474,6 +502,18 @@ def test_loaded_instance_runs_as_the_generated_one(tmp_path):
     assert [[getattr(r, f) for f in fields] for r in rec_a] == [
         [getattr(r, f) for f in fields] for r in rec_b
     ]
+
+
+def test_load_rejects_a_zero_truth_source(tmp_path, noisy_instance):
+    # the last truth row x is the file's last 16 K bytes; zeroed, kappa would be inf
+    path = tmp_path / "inst.bin"
+    save_instance(noisy_instance, path)
+    s, K = noisy_instance.dims.s, noisy_instance.dims.K
+    path.write_bytes(path.read_bytes()[: -16 * K] + bytes(16 * K))
+    with pytest.raises(ValueError, match=f"truth source {s - 1} has \\|\\|x_{s - 1}\\|\\| = 0"):
+        load_instance(path)
+    with pytest.raises(ValueError, match="truth source 0 has \\|\\|h_0\\|\\| = 0"):
+        demix.GroundTruth(np.zeros((2, K), complex), noisy_instance.truth.x)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -220,11 +220,21 @@ def test_truthless_run_records_only_the_loss(small_instance):
     "field, value, message",
     [("eta", 0.0, "eta must be > 0"), ("max_iters", 0, "max_iters must be >= 1"),
      ("record_every", 0, "record_every must be >= 1"),
-     ("stop_tol", -1e-9, "stop_tol must be >= 0")],
+     ("stop_tol", -1e-9, "stop_tol must be >= 0"),
+     ("max_iters", 2.5, "max_iters must be an integer"),
+     ("max_iters", 3.0, "max_iters must be an integer"),
+     ("max_iters", True, "max_iters must be an integer"),
+     ("record_every", 1.5, "record_every must be an integer"),
+     ("record_every", True, "record_every must be an integer")],
 )
 def test_solver_config_rejects_out_of_range_fields(field, value, message):
     with pytest.raises(ValueError, match=message):
         SolverConfig(**{field: value})
+
+
+def test_solver_config_takes_numpy_integers(small_instance):
+    cfg = SolverConfig(eta=0.2, max_iters=np.int64(3), record_every=np.int32(3))
+    assert [r.iter for r in run(small_instance, cfg)[1]] == [0, 3]
 
 
 def test_run_record_invariants(small_instance):

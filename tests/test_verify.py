@@ -50,13 +50,7 @@ def _unit_truth(s, K, seed):
 
 
 def test_population_hessian_frozen_minimal_case():
-    truth = GroundTruth(
-        h=np.array([[1.0 + 0j]]),
-        x=np.array([[1.0 + 0j]]),
-        d=np.array([2.0]),
-        d0=1.0,
-        kappa=1.0,
-    )
+    truth = GroundTruth(h=np.array([[1.0 + 0j]]), x=np.array([[1.0 + 0j]]))
     H = population_hessian(truth)
     want = np.array(
         [
@@ -86,17 +80,11 @@ def test_population_hessian_spectrum(s):
 
 
 def test_population_hessian_rejects_unbalanced_sources():
-    truth = GroundTruth(
-        h=np.array([[2.0 + 0j]]),
-        x=np.array([[1.0 + 0j]]),
-        d=np.array([5.0]),
-        d0=2.0,
-        kappa=1.0,
-    )
+    truth = GroundTruth(h=np.array([[2.0 + 0j]]), x=np.array([[1.0 + 0j]]))
     with pytest.raises(ValueError):
         population_hessian(truth)
     # balanced but not unit norm: the closed form's identity blocks would be wrong
-    balanced = GroundTruth(h=truth.h, x=truth.h.copy(), d=np.array([8.0]), d0=4.0, kappa=1.0)
+    balanced = GroundTruth(h=truth.h, x=truth.h.copy())
     with pytest.raises(ValueError):
         population_hessian(balanced)
 
@@ -115,7 +103,7 @@ def test_population_hessian_matches_design_average():
         sk = _rng.derive_seed(5, t)
         A = sample_design(dims, sk)
         y, e = synthesize_measurements(truth, A, B, 0.0, sk)
-        inst = ProblemInstance(dims=dims, A=A, B=B, y=y, e=e, sigma=0.0, seed=sk, truth=truth)
+        inst = ProblemInstance(dims=dims, A=A, y=y, e=e, sigma=0.0, seed=sk, truth=truth)
         (Ms[t],) = _source_curvatures(state, inst, y)  # sigma = 0: y is the truth's forward map
     T = real_to_wirtinger(dims.K)
     pop = (T.conj().T @ population_hessian(truth) @ T).real / 2
