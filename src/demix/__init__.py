@@ -16,11 +16,11 @@ from .metrics import (
     relative_error,
 )
 from .objective import (
-    DemixState,
     loss,
     residuals,
 )
 from .problem import (
+    DemixState,
     Dimensions,
     GroundTruth,
     ProblemInstance,

@@ -1,8 +1,11 @@
 """Measurement suite: alignment, distance, relative error, incoherence.
 
-Each iterate pair (h_i, x_i) carries a (c, 1/conj(c)) scaling ambiguity:
+Each source pair (h_i, x_i) carries a (c, 1/conj(c)) scaling ambiguity:
 h_i x_i^* is unchanged by h -> h / conj(c), x -> c x. The alignment
-parameter resolves it per source before any l2 comparison.
+parameter resolves it per source before any l2 comparison. Iterates,
+planted truths and leave-one-out references are all DemixStates (a
+GroundTruth is one), and align_state aligns any of them onto any other;
+align_source is the same solve on raw (K,) vectors or (s, K) stacks.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ import numpy as np
 
 @dataclass
 class Alignment:
-    """Per-source alignment of an iterate onto a reference, computed once.
+    """Per-source alignment of one set of pairs onto a reference set, computed once.
 
     alpha[i] (nonzero) minimizes g_i(alpha) = ||h_i/conj(alpha) - h'_i||^2 +
-    ||alpha x_i - x'_i||^2, and error[i] = g_i(alpha[i]) is the aligned
-    squared error. dist_from_errors and the incoherence measures derive from these.
+    ||alpha x_i - x'_i||^2, with (h'_i, x'_i) the reference's pair i, and
+    error[i] = g_i(alpha[i]) is the aligned squared error.
+    dist_from_errors and the incoherence measures derive from these.
     """
 
     alpha: np.ndarray  # (s,) complex
@@ -151,26 +155,17 @@ def align_source(h, x, h_ref, x_ref):
     return complex(alpha[0]) if h.ndim == 1 else alpha
 
 
-def aligned_error(h, x, h_ref, x_ref):
-    """(alpha, g(alpha)) at the unconstrained optimum; for (s, K) stacks both
-    are (s,) arrays, row i equal to the (K,) call on row i.
-    """
-    alpha = align_source(h, x, h_ref, x_ref)
-    a = np.asarray(alpha)[..., None]
-    err = _sqnorm(h / np.conj(a) - h_ref) + _sqnorm(a * x - x_ref)
-    return alpha, (float(err) if np.ndim(err) == 0 else err)
+def align_state(state, ref) -> Alignment:
+    """Align every pair of state onto ref's pair of the same index.
 
-
-def align_state(state, truth) -> Alignment:
-    """Align every source of an iterate onto truth's pairs with one stacked
-    align_source call, giving both alpha_i and the aligned squared error
-    g_i(alpha_i).
+    state and ref are any two sets of s pairs of one (s, K) shape: an
+    iterate, a GroundTruth, an aligned iterate used as a reference. One
+    stacked align_source call gives every alpha_i, and the aligned squared
+    error g_i(alpha_i) is formed from it row by row.
     """
-    if truth.h.shape != state.h.shape:
-        raise ValueError(
-            f"state and truth shapes differ: {state.h.shape} vs {truth.h.shape}"
-        )
-    alpha, error = aligned_error(state.h, state.x, truth.h, truth.x)
+    alpha = align_source(state.h, state.x, ref.h, ref.x)
+    a = alpha[:, None]
+    error = _sqnorm(state.h / np.conj(a) - ref.h) + _sqnorm(a * state.x - ref.x)
     return Alignment(alpha=alpha, error=error)
 
 

@@ -5,33 +5,15 @@ follow the conjugate-coordinate (df/d z-bar) convention; the gradient of f
 under the real 4sK-parameterization is exactly twice [Re g; Im g], a factor
 calibrated once on the scalar case and frozen in the tests. The clean
 curvature of a source is a real 4K x 4K matrix built from the residual's
-Jacobian.
+Jacobian. The iterate is problem.DemixState, the pair type the truth
+shares; it is imported here so objective.DemixState names it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .problem import ProblemInstance, ShapeError, combine_rows, forward_parts
-
-
-@dataclass
-class DemixState:
-    """Current iterate: rows of h and x are the s source pairs."""
-
-    h: np.ndarray  # (s, K)
-    x: np.ndarray  # (s, K)
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=complex)
-        self.x = np.asarray(self.x, dtype=complex)
-        if self.h.shape != self.x.shape or self.h.ndim != 2:
-            raise ShapeError(f"h and x must both be (s, K): {self.h.shape} vs {self.x.shape}")
-
-    def copy(self) -> "DemixState":
-        return DemixState(h=self.h.copy(), x=self.x.copy())
+from .problem import DemixState, ProblemInstance, ShapeError, combine_rows, forward_parts
 
 
 def _check(state: DemixState, inst: ProblemInstance) -> None:

@@ -6,6 +6,8 @@ a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e. An instance holds only
 what it cannot derive: its B is make_dft_rows(m, K), set from its dimensions
 and shared by every instance of that size, so the products with B are taken
 by FFT; its truth's scales d, d0 and kappa are set from the planted pairs.
+The iterate and the planted truth are one kind of object, s pairs (h_i, x_i):
+a GroundTruth is a DemixState with those scales added.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,25 +62,42 @@ class Dimensions:
 
 
 @dataclass
-class GroundTruth:
+class DemixState:
+    """s source pairs: rows of h and x are the (h_i, x_i), both (s, K) complex."""
+
+    h: np.ndarray  # (s, K)
+    x: np.ndarray  # (s, K)
+
+    def __post_init__(self):
+        self.h = np.asarray(self.h, dtype=complex)
+        self.x = np.asarray(self.x, dtype=complex)
+        if self.h.shape != self.x.shape or self.h.ndim != 2:
+            raise ShapeError(f"h and x must both be (s, K): {self.h.shape} vs {self.x.shape}")
+
+    def copy(self) -> DemixState:
+        """The same pairs in new arrays, as an object of the same class."""
+        return replace(self, h=self.h.copy(), x=self.x.copy())
+
+
+@dataclass
+class GroundTruth(DemixState):
     """The s planted pairs (h_i, x_i) and the scales derived from them.
 
-    h, x are (s, K) arrays whose rows are the source vectors; they are the
-    only arguments. d[i] = ||h_i||^2 + ||x_i||^2,
-    d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2) and
+    A DemixState, so h and x are (s, K) complex arrays of one shape, checked
+    as an iterate's are; they are the only arguments. d[i] = ||h_i||^2 +
+    ||x_i||^2, d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2) and
     kappa = max_i ||x_i|| / min_i ||x_i|| are set from them, and a source with
     ||h_i|| = 0 or ||x_i|| = 0 is a ValueError naming it. The incoherence mu
     also depends on B, so it is not stored here:
     metrics.incoherence_mu(truth, B) gives it.
     """
 
-    h: np.ndarray
-    x: np.ndarray
     d: np.ndarray = field(init=False)
     d0: float = field(init=False)
     kappa: float = field(init=False)
 
     def __post_init__(self):
+        super().__post_init__()
         hn2 = np.sum(np.abs(self.h) ** 2, axis=1)
         xn2 = np.sum(np.abs(self.x) ** 2, axis=1)
         for name, n2 in (("h", hn2), ("x", xn2)):
@@ -167,8 +186,8 @@ def sample_ground_truth(dims: Dimensions, kappa: float, rng_seed: int) -> Ground
     Source 0 has ||h|| = ||x|| = 1; with s >= 2 the norms grow geometrically
     so the last source has norm kappa (all ones when kappa = 1).
     """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not (kappa >= 1 and np.isfinite(kappa)):
+        raise ValueError(f"kappa must be >= 1 and finite, got {kappa}")
     s, K = dims.s, dims.K
     gen = _rng.stream(rng_seed, _rng.TAG_TRUTH)
     # rows 2i, 2i+1 are the raw draws for h_i, x_i
@@ -216,13 +235,15 @@ def synthesize_measurements(
     sigma > 0 the stored e is re-extracted as fl(y - forward) so that the
     identity y = forward + e holds exactly in floating point.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (sigma >= 0 and np.isfinite(sigma)):
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     m = B.shape[0]
     if A.shape[1] != m:
         raise ShapeError(f"A and B disagree on m: {A.shape[1]} vs {m}")
     if truth.h.shape[1] != B.shape[1]:
         raise ShapeError(f"truth K {truth.h.shape[1]} != B K {B.shape[1]}")
+    if truth.h.shape[0] != A.shape[0]:
+        raise ShapeError(f"truth s {truth.h.shape[0]} != A s {A.shape[0]}")
     fwd = forward_parts(truth.h, truth.x, A, B)[2]
     if sigma == 0:
         return fwd, np.zeros(0, dtype=complex)

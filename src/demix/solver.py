@@ -49,16 +49,16 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not (self.eta > 0 and np.isfinite(self.eta)):
+            raise ValueError(f"eta must be > 0 and finite, got {self.eta}")
         for name in ("max_iters", "record_every"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        if self.stop_tol < 0:
-            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
+        if not (self.stop_tol >= 0 and np.isfinite(self.stop_tol)):
+            raise ValueError(f"stop_tol must be >= 0 and finite, got {self.stop_tol}")
 
 
 @dataclass

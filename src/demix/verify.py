@@ -231,20 +231,19 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
     cfg = SolverConfig(eta=eta, max_iters=T, record_every=T)
     per_l = np.empty((T + 1, len(l_set)))
     dist_truth = np.empty(T + 1)
-    ref_h = np.empty((T + 1, *truth.h.shape), dtype=complex)
-    ref_x = np.empty_like(ref_h)
+    refs = []  # the main iterates, each aligned to the truth
 
     def on_main(t, state):
         align = metrics.align_state(state, truth)
-        ref_h[t] = state.h / np.conj(align.alpha)[:, None]
-        ref_x[t] = align.alpha[:, None] * state.x
+        a = align.alpha[:, None]
+        refs.append(DemixState(h=state.h / np.conj(a), x=a * state.x))
         dist_truth[t] = metrics.dist_from_errors(align.error, truth.d)
 
     blind = dataclasses.replace(inst, truth=None)
     run(blind, cfg, on_iterate=on_main)
     for k, l in enumerate(l_set):
         def on_loo(t, state):
-            g = metrics.aligned_error(state.h, state.x, ref_h[t], ref_x[t])[1]
+            g = metrics.align_state(state, refs[t]).error
             per_l[t, k] = metrics.dist_from_errors(g, truth.d)
 
         run(blind, cfg, on_iterate=on_loo, held_out=l)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from demix.metrics import (
     align_source,
     align_state,
-    aligned_error,
     dist,
     incoherence_measures,
     incoherence_mu,
@@ -75,7 +74,8 @@ def test_align_never_beaten_by_perturbations():
     gen = np.random.default_rng(45)
     for _ in range(10):
         h, x, h_ref, x_ref = _pair(gen)
-        alpha, base = aligned_error(h, x, h_ref, x_ref)
+        al = align_state(DemixState(h=[h], x=[x]), DemixState(h=[h_ref], x=[x_ref]))
+        alpha, base = al.alpha[0], al.error[0]
         noise = 1.0 + 0.1 * (gen.uniform(-1, 1, 1000) + 1j * gen.uniform(-1, 1, 1000))
         for cand in alpha * noise:
             assert align_objective(cand, h, x, h_ref, x_ref) >= base - 1e-12
@@ -210,11 +210,14 @@ def test_stacked_align_matches_high_precision_root():
 def test_stacked_align_rows_equal_single_calls():
     for seed in (52, 53):
         h, x, h_ref, x_ref = _stacked_cases(seed)
-        alpha, err = aligned_error(h, x, h_ref, x_ref)
+        stacked = align_state(DemixState(h=h, x=x), DemixState(h=h_ref, x=x_ref))
         for i in range(len(h)):
-            a_i, g_i = aligned_error(h[i], x[i], h_ref[i], x_ref[i])
-            assert alpha[i].tobytes() == np.complex128(a_i).tobytes(), i
-            assert err[i].tobytes() == np.float64(g_i).tobytes(), i
+            a_i = align_source(h[i], x[i], h_ref[i], x_ref[i])
+            row = slice(i, i + 1)
+            g_i = align_state(DemixState(h=h[row], x=x[row]),
+                              DemixState(h=h_ref[row], x=x_ref[row])).error
+            assert stacked.alpha[i].tobytes() == np.complex128(a_i).tobytes(), i
+            assert stacked.error[i].tobytes() == g_i.tobytes(), i
 
 
 # ------------------------------------------------------------ dist / rel. err
@@ -307,8 +310,8 @@ def test_dist_matches_per_source_definition(small_instance):
     )
     total = 0.0
     for i in range(truth.h.shape[0]):
-        _, g = aligned_error(st.h[i], st.x[i], truth.h[i], truth.x[i])
-        total += g / truth.d[i]
+        row = (st.h[i], st.x[i], truth.h[i], truth.x[i])
+        total += align_objective(align_source(*row), *row) / truth.d[i]
     assert dist(st, truth) == pytest.approx(np.sqrt(total), rel=1e-12)
 
 

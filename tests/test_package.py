@@ -1,6 +1,8 @@
 """The package's export list, and the test oracles' independence from it."""
 
 import ast
+import pkgutil
+import re
 from pathlib import Path
 
 import demix
@@ -51,3 +53,31 @@ def test_every_imported_name_is_used():
             used |= set(demix.__all__)  # the package re-exports its imports
         unused += [(path.stem, name) for name in sorted(imported - used)]
     assert sorted(set(unused) - UNUSED_IMPORTS_KEPT) == []
+
+
+def test_readme_references_resolve():
+    # a dotted name under demix (`problem.forward_parts`, `demix.verify.CHECKS`)
+    # and a `test_*.py::name` reference must each name something that exists
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    modules = {p.stem for p in Path(demix.__file__).parent.glob("*.py")} - {"__init__"}
+    dotted = re.findall(rf"\b((?:demix|{'|'.join(modules)})(?:\.\w+)+)", text)
+    assert dotted
+    missing = []
+    for ref in dotted:
+        name = ref if ref.startswith("demix.") else f"demix.{ref}"
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            missing.append(ref)
+    tests = re.findall(r"\b(test_\w+\.py)(?:::(\w+))?", text)
+    assert tests
+    for name, func in tests:
+        path = Path(__file__).parent / name
+        if not path.exists():
+            missing.append(name)
+        elif func and func not in {
+            n.name for n in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(n, ast.FunctionDef)
+        }:
+            missing.append(f"{name}::{func}")
+    assert missing == []

@@ -17,6 +17,7 @@ from demix.problem import (
     CONVENTION,
     Dimensions,
     DimensionError,
+    GroundTruth,
     InfiniteSNRError,
     ProblemInstance,
     ShapeError,
@@ -212,6 +213,10 @@ def test_truth_derived_scales():
 def test_truth_rejects_kappa_below_one():
     with pytest.raises(ValueError):
         sample_ground_truth(Dimensions(s=2, m=10, K=3), kappa=0.5, rng_seed=0)
+    # non-finite kappa is refused too, before any arithmetic could warn
+    for kappa in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="kappa must be >= 1"):
+            make_instance(Dimensions(s=2, m=10, K=3), kappa=kappa, seed=0)
 
 
 def test_design_moments():
@@ -397,13 +402,21 @@ def _version_two(tmp_path, inst):
          ShapeError, "A and B disagree on m"),
         (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A, make_dft_rows(24, 3),
                                                    0.0, 1), ShapeError, "truth K 4 != B K 3"),
+        (lambda inst, tmp: synthesize_measurements(GroundTruth(inst.truth.h[:1], inst.truth.x[:1]),
+                                                   inst.A, inst.B, 0.0, 1),
+         ShapeError, "truth s 1 != A s 2"),
+        (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A, inst.B, np.nan, 1),
+         ValueError, "sigma must be >= 0"),
+        (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A, inst.B, np.inf, 1),
+         ValueError, "sigma must be >= 0"),
         (lambda inst, tmp: load_instance(_version_two(tmp, inst)), ValueError,
          "unsupported container version 2"),
         (lambda inst, tmp: _rng.stream(1, 256), ValueError, "stream tag out of range: 256"),
         (lambda inst, tmp: _rng.stream(1, -1), ValueError, "stream tag out of range: -1"),
     ],
     ids=["check_instance_B", "check_instance_e", "check_instance_truth", "synthesize_sigma",
-         "synthesize_m", "synthesize_K", "load_version", "stream_tag_256", "stream_tag_neg"],
+         "synthesize_m", "synthesize_K", "synthesize_s", "synthesize_sigma_nan",
+         "synthesize_sigma_inf", "load_version", "stream_tag_256", "stream_tag_neg"],
 )
 def test_guards_reject_bad_input(small_instance, tmp_path, call, error, message):
     with pytest.raises(error, match=message):
@@ -514,6 +527,20 @@ def test_load_rejects_a_zero_truth_source(tmp_path, noisy_instance):
         load_instance(path)
     with pytest.raises(ValueError, match="truth source 0 has \\|\\|h_0\\|\\| = 0"):
         demix.GroundTruth(np.zeros((2, K), complex), noisy_instance.truth.x)
+
+
+def test_truth_is_a_checked_demix_state(small_instance):
+    # a truth gets the iterate's shape check, so no instance can hold a bad one
+    truth, K = small_instance.truth, small_instance.dims.K
+    assert issubclass(GroundTruth, DemixState)
+    with pytest.raises(ShapeError, match="h and x must both be"):
+        dataclasses.replace(small_instance, truth=GroundTruth(truth.h, truth.x[:, : K - 1]))
+    # a truth copies as a truth, in new arrays, with its scales' bytes
+    back = truth.copy()
+    assert type(back) is GroundTruth
+    assert not np.shares_memory(back.h, truth.h) and not np.shares_memory(back.x, truth.x)
+    for name in ("h", "x", "d", "d0", "kappa"):
+        assert np.asarray(getattr(back, name)).tobytes() == np.asarray(getattr(truth, name)).tobytes()
 
 
 def test_load_rejects_garbage(tmp_path):

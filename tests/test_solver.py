@@ -225,7 +225,9 @@ def test_truthless_run_records_only_the_loss(small_instance):
      ("max_iters", 3.0, "max_iters must be an integer"),
      ("max_iters", True, "max_iters must be an integer"),
      ("record_every", 1.5, "record_every must be an integer"),
-     ("record_every", True, "record_every must be an integer")],
+     ("record_every", True, "record_every must be an integer"),
+     ("eta", np.inf, "eta must be > 0"), ("eta", np.nan, "eta must be > 0"),
+     ("stop_tol", np.nan, "stop_tol must be >= 0"), ("stop_tol", np.inf, "stop_tol must be >= 0")],
 )
 def test_solver_config_rejects_out_of_range_fields(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -346,9 +346,9 @@ def test_leave_one_out_matches_runs_on_deleted_measurement():
         assert len(held) == len(main) == cfg.max_iters + 1
         for t, (st_main, (h, x)) in enumerate(zip(main, held)):
             align = metrics.align_state(st_main, truth)
-            ref_h = st_main.h / np.conj(align.alpha)[:, None]
-            ref_x = align.alpha[:, None] * st_main.x
-            g = metrics.aligned_error(h, x, ref_h, ref_x)[1]
+            ref = DemixState(h=st_main.h / np.conj(align.alpha)[:, None],
+                             x=align.alpha[:, None] * st_main.x)
+            g = metrics.align_state(DemixState(h=h, x=x), ref).error
             want = metrics.dist_from_errors(g, truth.d)
             assert out["per_l"][t, k] == pytest.approx(want, rel=1e-12)
             assert out["dist_truth"][t] == metrics.dist_from_errors(align.error, truth.d)
