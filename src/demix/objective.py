@@ -47,7 +47,7 @@ def _gradient_full(state: DemixState, inst: ProblemInstance, held_out=None):
         r[held_out] = 0
     # g_h_i = sum_j r_j (a_ij^* x_i) b_j ; g_x_i = sum_j conj(r_j) (b_j^* h_i) a_ij
     W = r[None, :] * np.conj(Q)
-    Gh = combine_rows(W, inst.B)
+    Gh = combine_rows(W, inst.dims.K)
     V = np.conj(r)[None, :] * P.T
     Gx = np.matmul(V[:, None, :], inst.A)[:, 0, :]
     return Gh, Gx, r, P, Q

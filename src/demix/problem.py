@@ -3,9 +3,10 @@
 Measurement model: y_j = sum_i b_j^* h_i x_i^* a_ij + e_j for j = 0..m-1,
 with b_j the j-th row of the first K columns of the unitary m-point DFT,
 a_ij i.i.d. CN(0, I_K), and complex Gaussian noise e. An instance holds only
-what it cannot derive: its B is make_dft_rows(m, K), set from its dimensions
-and shared by every instance of that size, so the products with B are taken
-by FFT; its truth's scales d, d0 and kappa are set from the planted pairs.
+what it cannot derive: B is make_dft_rows(m, K), built on first use and
+shared by every instance of that size, so its products are taken by FFT; an
+instance file (container version 2) stores A, y, [e] and [h, x] but no B;
+the truth's scales d, d0 and kappa are set from the planted pairs.
 The iterate and the planted truth are one kind of object, s pairs (h_i, x_i):
 a GroundTruth is a DemixState with those scales added.
 """
@@ -26,12 +27,11 @@ from . import _rng, metrics
 CONVENTION = "dft-neg-v1"
 
 _MAGIC = b"DEMIX01\n"
-_VERSION = 1
+_VERSION = 2
 _FLAG_TRUTH = 1
 _FLAG_NOISE = 2
 _MASK64 = (1 << 64) - 1
 _HEADER_BYTES = 60  # magic, the packed fields of save_instance, convention tag
-_DFT_CHECK_BLOCK = 2**12  # entries of B per block that load_instance compares
 
 
 class DimensionError(ValueError):
@@ -55,6 +55,10 @@ class Dimensions:
     K: int
 
     def __post_init__(self):
+        for name in ("s", "m", "K"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise DimensionError(f"{name} must be an integer, got {v!r}")
         if self.s < 1 or self.K < 1 or self.m < 1:
             raise DimensionError(f"s, m, K must be positive: {self}")
         if self.m < self.K:
@@ -87,8 +91,8 @@ class GroundTruth(DemixState):
     as an iterate's are; they are the only arguments. d[i] = ||h_i||^2 +
     ||x_i||^2, d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2) and
     kappa = max_i ||x_i|| / min_i ||x_i|| are set from them, and a source with
-    ||h_i|| = 0 or ||x_i|| = 0 is a ValueError naming it. The incoherence mu
-    also depends on B, so it is not stored here:
+    a non-finite entry, ||h_i|| = 0 or ||x_i|| = 0 is a ValueError naming it.
+    The incoherence mu also depends on B, so it is not stored here:
     metrics.incoherence_mu(truth, B) gives it.
     """
 
@@ -100,7 +104,10 @@ class GroundTruth(DemixState):
         super().__post_init__()
         hn2 = np.sum(np.abs(self.h) ** 2, axis=1)
         xn2 = np.sum(np.abs(self.x) ** 2, axis=1)
-        for name, n2 in (("h", hn2), ("x", xn2)):
+        for name, v, n2 in (("h", self.h, hn2), ("x", self.x, xn2)):
+            bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+            if bad.size:
+                raise ValueError(f"truth source {bad[0]} has a non-finite entry in {name}_{bad[0]}")
             zero = np.flatnonzero(n2 == 0)
             if zero.size:
                 raise ValueError(f"truth source {zero[0]} has ||{name}_{zero[0]}|| = 0: "
@@ -115,12 +122,12 @@ class GroundTruth(DemixState):
 class ProblemInstance:
     """One synthetic instance: design tensors, measurements, optional truth.
 
-    B is not an argument: it is set to make_dft_rows(m, K), the one cached
-    array of the DFT rows for these dimensions."""
+    B is not an argument, so passing one is a TypeError from the constructor
+    and from dataclasses.replace: it is make_dft_rows(m, K), the one cached
+    array of the DFT rows for these dimensions, built on first use."""
 
     dims: Dimensions
     A: np.ndarray  # (s, m, K) design vectors a_ij
-    B: np.ndarray = field(init=False)  # (m, K) DFT rows b_j
     y: np.ndarray  # (m,) measurements
     e: np.ndarray  # noise actually added; length 0 in noiseless mode
     sigma: float
@@ -129,13 +136,18 @@ class ProblemInstance:
 
     def __post_init__(self):
         self.seed = int(self.seed) & _MASK64
-        self.B = make_dft_rows(self.dims.m, self.dims.K)
         check_instance(self)
+
+    @functools.cached_property
+    def B(self) -> np.ndarray:
+        """(m, K) DFT rows b_j."""
+        return make_dft_rows(self.dims.m, self.dims.K)
 
 
 def check_instance(inst: ProblemInstance) -> None:
-    """Shape validation used by every public entry point. B is not checked:
-    it is derived from the dimensions, never passed in."""
+    """Shape and finiteness checks, run by the constructor and so by
+    dataclasses.replace. B is derived, never passed in; A is not scanned,
+    since a scan of the largest array would cost a temporary 1/8 its size."""
     s, m, K = inst.dims.s, inst.dims.m, inst.dims.K
     if inst.A.shape != (s, m, K):
         raise ShapeError(f"A must be (s, m, K)={(s, m, K)}, got {inst.A.shape}")
@@ -145,6 +157,9 @@ def check_instance(inst: ProblemInstance) -> None:
         raise ShapeError(f"e must be ({m},) or empty, got {inst.e.shape}")
     if inst.truth is not None and inst.truth.h.shape != (s, K):
         raise ShapeError(f"truth must be (s, K)={(s, K)}, got {inst.truth.h.shape}")
+    for name in ("sigma", "y", "e"):
+        if not np.isfinite(getattr(inst, name)).all():
+            raise ValueError(f"{name} must be finite")
 
 
 @functools.lru_cache(maxsize=1)
@@ -219,15 +234,13 @@ def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
     return P, Q, fwd
 
 
-def combine_rows(W: np.ndarray, B: np.ndarray) -> np.ndarray:
+def combine_rows(W: np.ndarray, K: int) -> np.ndarray:
     """W @ B, the (s, K) sums sum_j W[i, j] b_j, for B = make_dft_rows(m, K):
     the first K entries of each row's unitary DFT."""
-    return np.fft.fft(W, axis=1, norm="ortho")[:, : B.shape[1]]
+    return np.fft.fft(W, axis=1, norm="ortho")[:, :K]
 
 
-def synthesize_measurements(
-    truth: GroundTruth, A: np.ndarray, B: np.ndarray, sigma: float, rng_seed: int
-):
+def synthesize_measurements(truth: GroundTruth, A: np.ndarray, sigma: float, rng_seed: int):
     """Measurements y and the noise e that was actually added.
 
     e_j has independent real and imaginary parts N(0, sigma^2 d0^2 / (2m)).
@@ -237,14 +250,12 @@ def synthesize_measurements(
     """
     if not (sigma >= 0 and np.isfinite(sigma)):
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
-    m = B.shape[0]
-    if A.shape[1] != m:
-        raise ShapeError(f"A and B disagree on m: {A.shape[1]} vs {m}")
-    if truth.h.shape[1] != B.shape[1]:
-        raise ShapeError(f"truth K {truth.h.shape[1]} != B K {B.shape[1]}")
+    _, m, K = A.shape
+    if truth.h.shape[1] != K:
+        raise ShapeError(f"truth K {truth.h.shape[1]} != A K {K}")
     if truth.h.shape[0] != A.shape[0]:
         raise ShapeError(f"truth s {truth.h.shape[0]} != A s {A.shape[0]}")
-    fwd = forward_parts(truth.h, truth.x, A, B)[2]
+    fwd = forward_parts(truth.h, truth.x, A, make_dft_rows(m, K))[2]
     if sigma == 0:
         return fwd, np.zeros(0, dtype=complex)
     gen = _rng.stream(rng_seed, _rng.TAG_NOISE)
@@ -270,7 +281,7 @@ def make_instance(
     """Full instance from one master seed (design, truth, noise streams split)."""
     A = sample_design(dims, seed)
     truth = sample_ground_truth(dims, kappa, seed)
-    y, e = synthesize_measurements(truth, A, make_dft_rows(dims.m, dims.K), sigma, seed)
+    y, e = synthesize_measurements(truth, A, sigma, seed)
     return ProblemInstance(dims=dims, A=A, y=y, e=e, sigma=sigma, seed=seed, truth=truth)
 
 
@@ -297,9 +308,10 @@ def _write_array(fh, arr: np.ndarray) -> None:
 def save_instance(inst: ProblemInstance, path) -> None:
     """Self-describing binary container plus a JSON metadata sidecar.
 
-    Layout: magic, version u32, flags u32, s/m/K u32, sigma f64, seed u64,
-    16-byte convention tag, then little-endian complex128 payload in the
-    fixed order B, A, y, [e], [truth h, truth x].
+    Layout: magic, version u32 (2), flags u32, s/m/K u32, sigma f64, seed
+    u64, 16-byte convention tag, then little-endian complex128 payload in the
+    fixed order A, y, [e], [truth h, truth x]. B is not stored: it is a
+    function of m and K.
     """
     flags = 0
     if inst.truth is not None:
@@ -319,7 +331,6 @@ def save_instance(inst: ProblemInstance, path) -> None:
     header += CONVENTION.encode().ljust(16, b"\0")
     with open(path, "wb") as fh:
         fh.write(header)
-        _write_array(fh, inst.B)
         _write_array(fh, inst.A)
         _write_array(fh, inst.y)
         if inst.e.size:
@@ -335,11 +346,11 @@ def save_instance(inst: ProblemInstance, path) -> None:
 def load_instance(path) -> ProblemInstance:
     """Read a container written by save_instance; its size must match its header.
 
-    The file's B is compared, block by block as it is read, with
-    make_dft_rows' array for the header's m and K, which the instance then
-    holds; a B that differs is a ValueError naming the file. The rest of the
-    payload is read straight into one array, which the instance's other
-    arrays are views of, so loading never holds B or the payload twice.
+    Only version 2 is read. A version-1 file, which also stored B, is refused;
+    `demix generate` remakes it from its JSON sidecar's s, m, K, sigma, kappa
+    and seed. The payload is read straight into one array, which the
+    instance's arrays are views of, so loading never holds it twice, and the
+    instance's B is not built until it is first used.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
@@ -361,7 +372,7 @@ def load_instance(path) -> ProblemInstance:
         if flags & _FLAG_TRUTH:
             shapes.update(h=(s, K), x=(s, K))
         ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
-        want = _HEADER_BYTES + 16 * (m * K + int(ends[-1]))
+        want = _HEADER_BYTES + 16 * int(ends[-1])
 
         def size_error(size):
             what = "truncated" if size < want else "followed by trailing bytes"
@@ -373,19 +384,7 @@ def load_instance(path) -> ProblemInstance:
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise size_error(size)
-        dims = Dimensions(s=s, m=m, K=K)  # rejects K = 0 before the blocks divide by K
-        B = make_dft_rows(m, K)
-        rows = max(1, _DFT_CHECK_BLOCK // K)
-        for lo in range(0, m, rows):
-            block = memoryview(np.ascontiguousarray(B[lo : lo + rows], dtype="<c16")).cast("B")
-            got = fh.read(block.nbytes)
-            if len(got) < block.nbytes:
-                raise size_error(fh.tell())
-            if got != block:
-                raise ValueError(
-                    f"instance file {path} holds a B that is not the first {K} columns "
-                    f"of the unitary {m}-point DFT (rows {lo}..{min(lo + rows, m) - 1} differ)"
-                )
+        dims = Dimensions(s=s, m=m, K=K)
         # an array of its own, so the payload is aligned for BLAS
         body = np.empty(16 * int(ends[-1]), dtype=np.uint8)
         if fh.readinto(body) < body.size:

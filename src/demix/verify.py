@@ -191,7 +191,7 @@ def spectral_concentration(
     for t in range(n_trials):
         sk = _rng.derive_seed(rng_seed, t)
         A = sample_design(dims, sk)
-        y, _ = synthesize_measurements(truth, A, B, sigma, sk)
+        y, _ = synthesize_measurements(truth, A, sigma, sk)
         Ms = backprojection_matrices(A, B, y)
         del A, y  # release this trial's design before the next one is drawn
         devs[t] = np.linalg.svd(Ms - expected, compute_uv=False)[:, 0]

@@ -16,7 +16,6 @@ from demix.problem import (
     Dimensions,
     GroundTruth,
     ProblemInstance,
-    make_dft_rows,
     make_instance,
     sample_design,
     sample_ground_truth,
@@ -95,14 +94,13 @@ def test_population_hessian_matches_design_average():
     # the same real coordinates, entrywise
     dims = Dimensions(s=1, m=64, K=2)
     truth = sample_ground_truth(dims, 1.0, 5)
-    B = make_dft_rows(dims.m, dims.K)
     state = DemixState(h=truth.h.copy(), x=truth.x.copy())
     n_trials = 300
     Ms = np.empty((n_trials, 8, 8))
     for t in range(n_trials):
         sk = _rng.derive_seed(5, t)
         A = sample_design(dims, sk)
-        y, e = synthesize_measurements(truth, A, B, 0.0, sk)
+        y, e = synthesize_measurements(truth, A, 0.0, sk)
         inst = ProblemInstance(dims=dims, A=A, y=y, e=e, sigma=0.0, seed=sk, truth=truth)
         (Ms[t],) = _source_curvatures(state, inst, y)  # sigma = 0: y is the truth's forward map
     T = real_to_wirtinger(dims.K)
