@@ -204,26 +204,26 @@ def incoherence_mu(truth, B) -> float:
     return float(np.sqrt(m) * np.max(P / norms[None, :]))
 
 
-def incoherence_measures(state, truth, inst, alignments: Alignment, P):
+def incoherence_measures(truth, alignments: Alignment, P, QD):
     """Design-coherence trajectory measures (inc_a, inc_b).
 
     inc_a = max_{i,j} |a_ij^* (alpha_i x_i - x'_i)| / ||x'_i||
+          = max_{i,j} |QD_ij| / ||x'_i||
     inc_b = max_{i,j} |b_j^* (h_i / conj(alpha_i))| / ||h'_i||
           = max_{i,j} |P_ji| / (|alpha_i| ||h'_i||)
 
-    P is the state's (m, s) matrix b_j^* h_i, as the forward map forms it.
-    inc_a keeps its own pass over A: forming a_ij^* x_i from the forward
-    map's Q would subtract nearly equal numbers near the truth.
+    P is the state's (m, s) matrix b_j^* h_i, as the forward map forms it,
+    and QD the (s, m) product A_i conj(alpha_i x_i - x'_i), which
+    problem._design_products forms in the pass over A that gives the
+    forward map's Q. QD is formed from the difference itself: taking it
+    from Q as conj(alpha_i) Q_ij - Q'_ij would subtract nearly equal
+    numbers near the truth.
     """
     if alignments is None:
         raise ValueError("incoherence_measures requires precomputed alignments")
-    alpha = alignments.alpha
-    diff = alpha[:, None] * state.x - truth.x  # (s, K)
-    # |a_ij^* d_i| = |(A_i conj(d_i))_j|, so A is never copied to conjugate it
-    vals = np.abs(np.matmul(inst.A, np.conj(diff)[:, :, None])[:, :, 0])  # (s, m)
     xn = np.linalg.norm(truth.x, axis=1)
-    inc_a = float(np.max(vals / xn[:, None]))
+    inc_a = float(np.max(np.abs(QD) / xn[:, None]))
 
-    hn = np.abs(alpha) * np.linalg.norm(truth.h, axis=1)
+    hn = np.abs(alignments.alpha) * np.linalg.norm(truth.h, axis=1)
     inc_b = float(np.max(np.abs(P) / hn[None, :]))
     return inc_a, inc_b

@@ -34,14 +34,15 @@ def loss(state: DemixState, inst: ProblemInstance) -> float:
     return float(np.real(np.vdot(r, r)))
 
 
-def _gradient_full(state: DemixState, inst: ProblemInstance, held_out=None):
+def _gradient_full(state: DemixState, inst: ProblemInstance, held_out=None, Q=None):
     """(Gh, Gx, r, P, Q) with one shared residual pass.
 
     A held_out index l deletes measurement l: r[l] is set to 0, so the loss
-    and both gradients are those of the other m - 1 measurements.
+    and both gradients are those of the other m - 1 measurements. Q, when
+    given, is the state's design product, passed on to forward_parts.
     """
     _check(state, inst)
-    P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
+    P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B, Q)
     r = fwd - inst.y
     if held_out is not None:
         r[held_out] = 0

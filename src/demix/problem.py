@@ -32,6 +32,10 @@ _FLAG_TRUTH = 1
 _FLAG_NOISE = 2
 _MASK64 = (1 << 64) - 1
 _HEADER_BYTES = 60  # magic, the packed fields of save_instance, convention tag
+# Largest M N K of one real product of the design, taken in row blocks of
+# at most this size: OpenBLAS multiplies such a product without packing A,
+# and above it a width-4 product took twice as long as a complex gemv.
+_DESIGN_BLOCK_MNK = 1_000_000
 
 
 class DimensionError(ValueError):
@@ -48,7 +52,9 @@ class InfiniteSNRError(ValueError):
 
 @dataclass(frozen=True)
 class Dimensions:
-    """Problem sizes: s sources, m measurements, subspace dimension K."""
+    """Problem sizes: s sources, m measurements, subspace dimension K.
+
+    Each is stored as a plain int; a numpy integer is converted."""
 
     s: int
     m: int
@@ -59,6 +65,7 @@ class Dimensions:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise DimensionError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # sizes feed Philox.advance
         if self.s < 1 or self.K < 1 or self.m < 1:
             raise DimensionError(f"s, m, K must be positive: {self}")
         if self.m < self.K:
@@ -124,7 +131,10 @@ class ProblemInstance:
 
     B is not an argument, so passing one is a TypeError from the constructor
     and from dataclasses.replace: it is make_dft_rows(m, K), the one cached
-    array of the DFT rows for these dimensions, built on first use."""
+    array of the DFT rows for these dimensions, built on first use. A is held
+    C-ordered complex128, so every product reads it as it reads the arrays
+    make_instance and load_instance build; an A of another order or dtype
+    is copied once, here."""
 
     dims: Dimensions
     A: np.ndarray  # (s, m, K) design vectors a_ij
@@ -136,6 +146,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         self.seed = int(self.seed) & _MASK64
+        self.A = np.ascontiguousarray(self.A, dtype=complex)
         check_instance(self)
 
     @functools.cached_property
@@ -219,17 +230,47 @@ def sample_ground_truth(dims: Dimensions, kappa: float, rng_seed: int) -> Ground
     return GroundTruth(h, x)
 
 
-def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray):
+def _design_products(A: np.ndarray, X: np.ndarray, D: np.ndarray | None = None):
+    """(Q, QD) with Q[i, j] = x_i^* a_ij and QD[i, j] = conj(d_i^* a_ij), from one pass over A.
+
+    Both are A_i conj(v_i), taken as one real product of A's float view
+    (s, m, 2K) with an (s, 2K, 4) matrix whose columns are the float views
+    of x_i, i x_i, d_i and i d_i. D = None leaves the d-pair zero: the width
+    stays 4, so Q has the same bits whether or not QD is wanted. Rows are
+    taken in blocks of _DESIGN_BLOCK_MNK / (8K), one block at the Fig-1a
+    size. A is coerced to C-ordered complex128, which copies nothing for
+    the arrays make_instance and load_instance build.
+    """
+    A = np.ascontiguousarray(A, dtype=complex)
+    s, m, K = A.shape
+    W = np.zeros((s, K, 2, 4))
+    for c, v in ((0, X),) if D is None else ((0, X), (2, D)):
+        W[:, :, 0, c] = W[:, :, 1, c + 1] = v.real
+        W[:, :, 1, c] = v.imag
+        W[:, :, 0, c + 1] = -v.imag
+    W = W.reshape(s, 2 * K, 4)
+    Af, R = A.view(np.float64), np.empty((s, m, 4))
+    rows = max(1, _DESIGN_BLOCK_MNK // (8 * K))
+    for j in range(0, m, rows):
+        np.matmul(Af[:, j : j + rows], W, out=R[:, j : j + rows])
+    R = R.view(complex)
+    return R[:, :, 0], R[:, :, 1]
+
+
+def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray, Q=None):
     """(P, Q, forward) with P[j, i] = b_j^* h_i and Q[i, j] = x_i^* a_ij.
 
     This is the single arithmetic path shared by synthesis, residual and
     gradient evaluation, so state == truth reproduces y - e bit for bit.
     B is make_dft_rows(m, K), of which only the shape is read: column i of P
     is the unitary inverse DFT of h_i zero-padded to length m, formed as a
-    contiguous (s, m) array whose transposed view is returned.
+    contiguous (s, m) array whose transposed view is returned. Q is
+    _design_products(A, X)[0]; a caller that has formed it in its own pass
+    over A, with a d-pair alongside, passes it in and A is not read.
     """
     P = np.fft.ifft(H, n=B.shape[0], axis=1, norm="ortho").T
-    Q = np.matmul(A, np.conj(X)[:, :, None])[:, :, 0]
+    if Q is None:
+        Q = _design_products(A, X)[0]
     fwd = np.sum(P.T * Q, axis=0)
     return P, Q, fwd
 

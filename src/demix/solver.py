@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics
 from .objective import DemixState, _gradient_full
-from .problem import ProblemInstance
+from .problem import ProblemInstance, _design_products
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -151,19 +151,19 @@ def wf_step(state: DemixState, inst: ProblemInstance, eta: float) -> DemixState:
     return step_arrays(state, Gh, Gx, eta)
 
 
-def _record(t, loss_t, state, P, prev_alpha, inst) -> TrajectoryRecord:
-    """Metrics of one iterate; P is its forward-map matrix b_j^* h_i from the
-    gradient and prev_alpha the predecessor's alpha (None at t = 0).
+def _record(t, loss_t, state, truth, align, P, QD, prev_alpha) -> TrajectoryRecord:
+    """Metrics of one iterate. align is its alignment onto truth, P its
+    forward-map matrix b_j^* h_i, QD its product A_i conj(alpha_i x_i - x'_i)
+    from the pass over A that gave the gradient's Q, and prev_alpha the
+    predecessor's alpha (None at t = 0).
     """
-    truth = inst.truth
     if truth is None:
         return TrajectoryRecord(iter=t, loss=loss_t)
-    align = metrics.align_state(state, truth)
     if prev_alpha is None:
         ratios = np.zeros(state.h.shape[0])
     else:
         ratios = np.abs(align.alpha / prev_alpha - 1.0)
-    inc_a, inc_b = metrics.incoherence_measures(state, truth, inst, align, P)
+    inc_a, inc_b = metrics.incoherence_measures(truth, align, P, QD)
     return TrajectoryRecord(
         iter=t,
         loss=loss_t,
@@ -185,7 +185,9 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None
     callback sees (t, state) at every iteration. A held_out index l runs
     the descent without measurement l: y[l] is zeroed in the spectral start
     and the residual's entry l in every gradient, so neither y[l] nor the
-    design vectors a_il enter the iterates.
+    design vectors a_il enter the iterates. An iterate is read from the
+    design once: at a record it is aligned first, and the product that
+    forms the gradient's Q also forms the record's incoherence product.
 
     Returns (final_state, records). Raises DivergenceError if the loss goes
     non-finite or exceeds 1e6 times the initial loss, and
@@ -204,7 +206,20 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None
     t = 0
     while True:
         stepping = t < cfg.max_iters
-        Gh, Gx, r, P, _ = _gradient_full(state, inst, held_out)
+        recording = t % cfg.record_every == 0 or not stepping
+        align = unalignable = None
+        if recording and truth is not None:
+            # aligned before the gradient, so that the pass over A that
+            # forms Q also forms the record's incoherence product
+            try:
+                align = metrics.align_state(state, truth)
+            except np.linalg.LinAlgError as ex:
+                # too large to align: the loss check below reports the
+                # divergence first, as when the alignment came after it
+                unalignable = ex
+        D = None if align is None else align.alpha[:, None] * state.x - truth.x
+        Q, QD = _design_products(inst.A, state.x, D)
+        Gh, Gx, r, P, _ = _gradient_full(state, inst, held_out, Q)
         loss_t = float(np.real(np.vdot(r, r)))
         if loss0 is None:
             loss0 = loss_t
@@ -212,14 +227,16 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None
             raise DivergenceError(t, loss_t, records)
         if on_iterate is not None:
             on_iterate(t, state)
-        if t % cfg.record_every == 0 or not stepping:
+        if recording:
+            if unalignable is not None:
+                raise unalignable
             if t == 0 or truth is None:
                 prev_alpha = None
             elif records[-1].iter == t - 1:
                 prev_alpha = records[-1].alignment.alpha
             else:
                 prev_alpha = metrics.align_state(prev_state, truth).alpha
-            rec = _record(t, loss_t, state, P, prev_alpha, inst)
+            rec = _record(t, loss_t, state, truth, align, P, QD, prev_alpha)
             records.append(rec)
             if (
                 truth is not None

@@ -407,6 +407,21 @@ def mp_record_metrics(state, truth, A, B, betas0, dps: int = 50):
         return tuple(float(v) for v in (num / den, mp.sqrt(g_sum), inc_a, inc_b))
 
 
+def mp_incoherence_a(A, D, x_ref, dps: int = 50) -> float:
+    """max_{i,j} |a_ij^* d_i| / ||x'_i|| for given differences D, to dps digits."""
+    import mpmath
+
+    mp = mpmath.mp
+    s, m, _ = A.shape
+    with mpmath.workdps(dps):
+        out = mp.mpf(0)
+        for i in range(s):
+            d, xn = _mp_vec(mp, D[i]), mp.sqrt(_mp_norm2(mp, _mp_vec(mp, x_ref[i])))
+            for j in range(m):
+                out = max(out, abs(_mp_vdot(mp, _mp_vec(mp, A[i, j]), d)) / xn)
+        return float(out)
+
+
 # ----------------------------------------------------------------- regression
 
 

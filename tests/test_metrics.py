@@ -14,7 +14,13 @@ from demix.metrics import (
     relative_error,
 )
 from demix.objective import DemixState
-from demix.problem import Dimensions, forward_parts, make_instance, sample_ground_truth
+from demix.problem import (
+    Dimensions,
+    _design_products,
+    forward_parts,
+    make_instance,
+    sample_ground_truth,
+)
 
 from oracles import align_objective, align_source_unit, grid_align, mp_align
 
@@ -342,13 +348,20 @@ def test_mu_bounds_over_random_truths():
         assert 1.0 - 1e-12 <= mu <= np.sqrt(K) + 1e-12
 
 
+def _record_products(st, truth, inst, alignments):
+    # P and QD as run forms them for a record
+    D = alignments.alpha[:, None] * st.x - truth.x
+    Q, QD = _design_products(inst.A, st.x, D)
+    return forward_parts(st.h, st.x, inst.A, inst.B, Q)[0], QD
+
+
 def test_incoherence_measures_at_truth(small_instance):
     inst = small_instance
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
     alignments = align_state(st, inst.truth)
     assert np.allclose(alignments.alpha, 1.0, atol=1e-8)
-    P = forward_parts(st.h, st.x, inst.A, inst.B)[0]
-    inc_a, inc_b = incoherence_measures(st, inst.truth, inst, alignments, P)
+    P, QD = _record_products(st, inst.truth, inst, alignments)
+    inc_a, inc_b = incoherence_measures(inst.truth, alignments, P, QD)
     assert inc_a <= 1e-7
     want_b = incoherence_mu(inst.truth, inst.B) / np.sqrt(inst.dims.m)
     assert inc_b == pytest.approx(want_b, rel=1e-6)
@@ -364,8 +377,7 @@ def test_incoherence_b_from_forward_map_matches_direct_formula(small_instance):
         DemixState(h=truth.h + 0.2 * noise[0], x=truth.x + 0.2 * noise[1]), [0.3 - 2.1j, 1.7 + 0.4j]
     )
     alignments = align_state(st, truth)
-    P = forward_parts(st.h, st.x, inst.A, inst.B)[0]
-    _, inc_b = incoherence_measures(st, truth, inst, alignments, P)
+    _, inc_b = incoherence_measures(truth, alignments, *_record_products(st, truth, inst, alignments))
     direct = max(
         abs(np.vdot(inst.B[j], st.h[i] / np.conj(alignments.alpha[i]))) / np.linalg.norm(truth.h[i])
         for i in range(inst.dims.s)
@@ -377,6 +389,6 @@ def test_incoherence_b_from_forward_map_matches_direct_formula(small_instance):
 def test_incoherence_requires_alignments(small_instance):
     inst = small_instance
     st = DemixState(h=inst.truth.h.copy(), x=inst.truth.x.copy())
-    P = forward_parts(st.h, st.x, inst.A, inst.B)[0]
+    P, QD = _record_products(st, inst.truth, inst, align_state(st, inst.truth))
     with pytest.raises(ValueError):
-        incoherence_measures(st, inst.truth, inst, None, P)
+        incoherence_measures(inst.truth, None, P, QD)

@@ -21,6 +21,7 @@ from demix.problem import (
     InfiniteSNRError,
     ProblemInstance,
     ShapeError,
+    _design_products,
     check_instance,
     forward_parts,
     instance_metadata,
@@ -296,6 +297,36 @@ def test_forward_matches_naive(small_instance):
     assert np.allclose(fwd, ref, rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "s,m,K", [(1, 1, 1), (2, 7, 3), (2, 97, 16), (3, 97, 8), (2, 64, 8), (2, 5100, 50)]
+)
+def test_design_products_form_both_pairs_in_one_pass(s, m, K):
+    # (2, 5100, 50) takes three row blocks
+    gen = np.random.default_rng(m * K + s)
+    A, X, D = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+               for shape in ((s, m, K), (s, K), (s, K)))
+    Q, QD = _design_products(A, X, D)
+    for got, v in ((Q, X), (QD, D)):
+        want = np.einsum("ijk,ik->ij", A, np.conj(v))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # Q's bits do not depend on the d-pair
+    assert Q.tobytes() == _design_products(A, X)[0].tobytes()
+    assert not np.any(_design_products(A, X)[1])
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [np.asfortranarray, lambda A: A.astype(np.complex64), lambda A: A.real.copy()],
+    ids=["fortran", "complex64", "real"],
+)
+def test_measurements_of_any_design_layout_are_those_of_its_c_ordered_copy(noisy_instance, layout):
+    inst = noisy_instance
+    A = layout(inst.A)
+    got, want = (synthesize_measurements(inst.truth, a, inst.sigma, inst.seed)
+                 for a in (A, np.ascontiguousarray(A, dtype=complex)))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
 def test_noise_identity_exact(noisy_instance):
     inst = noisy_instance
     fwd = forward_parts(inst.truth.h, inst.truth.x, inst.A, inst.B)[2]
@@ -361,6 +392,14 @@ def test_dimensions_validation():
         Dimensions(s=0, m=4, K=2)
     with pytest.raises(DimensionError):
         Dimensions(s=1, m=3, K=4)  # m < K
+    # numpy integers are stored as plain ints, so the sizes reach the
+    # generator's stream arithmetic as Python ints
+    dims = Dimensions(s=np.int64(2), m=np.int32(24), K=np.uint8(4))
+    assert [type(v) for v in (dims.s, dims.m, dims.K)] == [int] * 3
+    assert dims == Dimensions(s=2, m=24, K=4)
+    got = make_instance(dims, sigma=0.1, seed=1)
+    want = make_instance(Dimensions(s=2, m=24, K=4), sigma=0.1, seed=1)
+    assert got.A.tobytes() == want.A.tobytes() and got.y.tobytes() == want.y.tobytes()
 
 
 def test_check_instance_shape_errors(small_instance):

@@ -23,7 +23,7 @@ from demix.solver import (
 )
 
 from conftest import FIG1A_SEEDS, random_state
-from oracles import iters_to, lsq_slope, naive_backprojection
+from oracles import iters_to, lsq_slope, mp_incoherence_a, naive_backprojection
 
 
 # -------------------------------------------------------------- backprojection
@@ -336,6 +336,88 @@ def test_run_divergence_carries_partial_records():
     assert len(err.records) >= 1
     assert err.records[0].iter == 0
     assert all(r.iter < err.iteration for r in err.records)
+
+
+@pytest.mark.parametrize("eta", [1e150, 1e300])
+def test_run_divergence_from_a_huge_step(eta):
+    # the first step's iterate is finite but too large to align; the loss
+    # check still comes first and reports the divergence
+    inst = make_instance(Dimensions(s=2, m=64, K=8), kappa=1.0, sigma=0.0, seed=4)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        run(inst, SolverConfig(eta=eta, max_iters=200, record_every=1))
+    assert info.value.iteration == 1
+    assert [r.iter for r in info.value.records] == [0]
+
+
+# ------------------------------------------------------ one pass over A
+
+
+@pytest.mark.parametrize(
+    "dims, iters",
+    [((2, 97, 16), 40), ((3, 97, 8), 40), ((2, 64, 8), 40), ((10, 2500, 50), 5),
+     ((2, 5100, 50), 5)],
+    ids=["s2_m97_K16", "s3_m97_K8", "s2_m64_K8", "fig1a", "three_row_blocks"],
+)
+def test_records_do_not_move_the_trajectory(dims, iters):
+    # a record's d-pair rides in the product that forms Q; Q keeps its bits
+    # whatever the d-pair holds, so recording every iterate or only the ends
+    # gives the same run
+    inst = make_instance(Dimensions(*dims), kappa=1.5, sigma=0.05, seed=3)
+    (st_a, rec_a), (st_b, rec_b) = (
+        run(inst, SolverConfig(eta=0.1, max_iters=iters, record_every=k)) for k in (1, iters)
+    )
+    assert st_a.h.tobytes() == st_b.h.tobytes() and st_a.x.tobytes() == st_b.x.tobytes()
+    losses = {r.iter: r.loss for r in rec_a}
+    assert [r.iter for r in rec_b] == [0, iters]
+    assert all(r.loss == losses[r.iter] for r in rec_b)
+
+
+def test_recorded_run_forms_one_design_product_per_iteration(small_instance, monkeypatch):
+    calls = []
+    products = demix.problem._design_products
+
+    def counted(*args):
+        calls.append(args[2] is not None)
+        return products(*args)
+
+    monkeypatch.setattr(demix.problem, "_design_products", counted)
+    monkeypatch.setattr(demix.solver, "_design_products", counted)
+    _, records = run(small_instance, SolverConfig(eta=0.2, max_iters=6, record_every=1))
+    # one product per iteration, each carrying the record's d-pair
+    assert calls == [True] * 7 and len(records) == 7
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [np.asfortranarray, lambda A: A.astype(np.complex64), lambda A: A.real.copy()],
+    ids=["fortran", "complex64", "real"],
+)
+def test_design_of_any_layout_runs_as_its_c_ordered_copy(layout):
+    inst = make_instance(Dimensions(s=2, m=64, K=8), kappa=1.5, sigma=0.1, seed=5)
+    A = layout(inst.A)
+    runs = [
+        run(dataclasses.replace(inst, A=a), SolverConfig(eta=0.1, max_iters=20, record_every=1))
+        for a in (A, np.ascontiguousarray(A, dtype=complex))
+    ]
+    (st_a, rec_a), (st_b, rec_b) = runs
+    assert st_a.h.tobytes() == st_b.h.tobytes() and st_a.x.tobytes() == st_b.x.tobytes()
+    fields = ("loss", "relative_error", "dist", "incoherence_a", "incoherence_b")
+    assert [[getattr(r, f) for f in fields] for r in rec_a] == [
+        [getattr(r, f) for f in fields] for r in rec_b
+    ]
+
+
+def test_recorded_inc_a_is_accurate_near_the_truth():
+    # inc_a is read off A_i conj(d_i) formed from d_i itself; taking it as
+    # conj(alpha_i) Q_ij - Q'_ij would lose about eps / ||d_i|| of it here
+    pytest.importorskip("mpmath")
+    inst = make_instance(Dimensions(s=2, m=64, K=4), kappa=1.5, sigma=0.0, seed=2)
+    st, records = run(inst, SolverConfig(eta=0.2, max_iters=2000, stop_tol=1e-9, record_every=1))
+    final = records[-1]
+    assert final.relative_error <= 1e-8
+    D = final.alignment.alpha[:, None] * st.x - inst.truth.x
+    want = mp_incoherence_a(inst.A, D, inst.truth.x)
+    assert abs(final.incoherence_a - want) <= 1e-13 * want
 
 
 # ----------------------------------------------------- benchmark trajectories
