@@ -196,12 +196,12 @@ def relative_error(state, truth) -> float:
     return float(num / den)
 
 
-def incoherence_mu(truth, B) -> float:
-    """Smallest mu with |b_j^* h_i| <= mu ||h_i|| / sqrt(m) for all (i, j)."""
-    m = B.shape[0]
-    P = np.abs(B @ np.conj(truth.h).T)  # (m, s), |conj(b_j^* h_i)|
+def incoherence_mu(truth, m) -> float:
+    """Smallest mu with |b_j^* h_i| <= mu ||h_i|| / sqrt(m) for all (i, j), each
+    b_j^* h_i read off the unitary inverse DFT as problem.forward_parts forms P."""
+    P = np.abs(np.fft.ifft(truth.h, n=m, axis=1, norm="ortho"))  # (s, m), |b_j^* h_i|
     norms = np.linalg.norm(truth.h, axis=1)
-    return float(np.sqrt(m) * np.max(P / norms[None, :]))
+    return float(np.sqrt(m) * np.max(P / norms[:, None]))
 
 
 def incoherence_measures(truth, alignments: Alignment, P, QD):
@@ -212,12 +212,11 @@ def incoherence_measures(truth, alignments: Alignment, P, QD):
     inc_b = max_{i,j} |b_j^* (h_i / conj(alpha_i))| / ||h'_i||
           = max_{i,j} |P_ji| / (|alpha_i| ||h'_i||)
 
-    P is the state's (m, s) matrix b_j^* h_i, as the forward map forms it,
-    and QD the (s, m) product A_i conj(alpha_i x_i - x'_i), which
-    problem._design_products forms in the pass over A that gives the
-    forward map's Q. QD is formed from the difference itself: taking it
-    from Q as conj(alpha_i) Q_ij - Q'_ij would subtract nearly equal
-    numbers near the truth.
+    P is the state's (m, s) matrix b_j^* h_i and QD the (s, m) product
+    A_i conj(alpha_i x_i - x'_i), both from problem.forward_parts, whose
+    one pass over A forms QD beside the forward map's Q. QD is formed from
+    the difference itself: taking it from Q as conj(alpha_i) Q_ij - Q'_ij
+    would subtract nearly equal numbers near the truth.
     """
     if alignments is None:
         raise ValueError("incoherence_measures requires precomputed alignments")

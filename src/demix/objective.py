@@ -34,15 +34,16 @@ def loss(state: DemixState, inst: ProblemInstance) -> float:
     return float(np.real(np.vdot(r, r)))
 
 
-def _gradient_full(state: DemixState, inst: ProblemInstance, held_out=None, Q=None):
-    """(Gh, Gx, r, P, Q) with one shared residual pass.
+def _gradient_full(state: DemixState, inst: ProblemInstance, held_out=None, D=None):
+    """(Gh, Gx, r, P, QD) with one shared residual pass.
 
     A held_out index l deletes measurement l: r[l] is set to 0, so the loss
-    and both gradients are those of the other m - 1 measurements. Q, when
-    given, is the state's design product, passed on to forward_parts.
+    and both gradients are those of the other m - 1 measurements. D is
+    passed on to forward_parts, and QD, its product A_i conj(d_i) from the
+    pass over A that forms Q, is returned; it is zero when D is None.
     """
     _check(state, inst)
-    P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B, Q)
+    P, Q, fwd, QD = forward_parts(state.h, state.x, inst.A, inst.B, D)
     r = fwd - inst.y
     if held_out is not None:
         r[held_out] = 0
@@ -51,7 +52,7 @@ def _gradient_full(state: DemixState, inst: ProblemInstance, held_out=None, Q=No
     Gh = combine_rows(W, inst.dims.K)
     V = np.conj(r)[None, :] * P.T
     Gx = np.matmul(V[:, None, :], inst.A)[:, 0, :]
-    return Gh, Gx, r, P, Q
+    return Gh, Gx, r, P, QD
 
 
 def gradient_arrays(state: DemixState, inst: ProblemInstance):
@@ -74,7 +75,7 @@ def _source_curvatures(state: DemixState, inst: ProblemInstance, fwd_truth: np.n
     """
     _check(state, inst)
     s, K = state.h.shape
-    P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
+    P, Q, fwd, _ = forward_parts(state.h, state.x, inst.A, inst.B)
     c = fwd - fwd_truth
     I, Z = np.eye(K), np.zeros((K, K))
     T2 = np.block([[I, 1j * I, Z, Z], [Z, Z, I, -1j * I]])

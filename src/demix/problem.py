@@ -99,8 +99,8 @@ class GroundTruth(DemixState):
     ||x_i||^2, d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2) and
     kappa = max_i ||x_i|| / min_i ||x_i|| are set from them, and a source with
     a non-finite entry, ||h_i|| = 0 or ||x_i|| = 0 is a ValueError naming it.
-    The incoherence mu also depends on B, so it is not stored here:
-    metrics.incoherence_mu(truth, B) gives it.
+    The incoherence mu also depends on m, so it is not stored here:
+    metrics.incoherence_mu(truth, m) gives it.
     """
 
     d: np.ndarray = field(init=False)
@@ -230,16 +230,22 @@ def sample_ground_truth(dims: Dimensions, kappa: float, rng_seed: int) -> Ground
     return GroundTruth(h, x)
 
 
-def _design_products(A: np.ndarray, X: np.ndarray, D: np.ndarray | None = None):
-    """(Q, QD) with Q[i, j] = x_i^* a_ij and QD[i, j] = conj(d_i^* a_ij), from one pass over A.
+def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray, D=None):
+    """(P, Q, forward, QD) with P[j, i] = b_j^* h_i, Q[i, j] = x_i^* a_ij and
+    QD[i, j] = conj(d_i^* a_ij) for the rows d_i of D.
 
-    Both are A_i conj(v_i), taken as one real product of A's float view
-    (s, m, 2K) with an (s, 2K, 4) matrix whose columns are the float views
-    of x_i, i x_i, d_i and i d_i. D = None leaves the d-pair zero: the width
-    stays 4, so Q has the same bits whether or not QD is wanted. Rows are
-    taken in blocks of _DESIGN_BLOCK_MNK / (8K), one block at the Fig-1a
-    size. A is coerced to C-ordered complex128, which copies nothing for
-    the arrays make_instance and load_instance build.
+    This is the single arithmetic path shared by synthesis, residual and
+    gradient evaluation, so state == truth reproduces y - e bit for bit, and
+    it is the only pass over A. B is make_dft_rows(m, K), of which only the
+    shape is read: column i of P is the unitary inverse DFT of h_i
+    zero-padded to length m, formed as a contiguous (s, m) array whose
+    transposed view is returned. Q and QD are both A_i conj(v_i), taken as
+    one real product of A's float view (s, m, 2K) with an (s, 2K, 4) matrix
+    whose columns are the float views of x_i, i x_i, d_i and i d_i. D = None
+    leaves QD zero: the width stays 4, so Q has the same bits whether or not
+    QD is wanted. Rows are taken in blocks of _DESIGN_BLOCK_MNK / (8K), one
+    block at the Fig-1a size. A is coerced to C-ordered complex128, which
+    copies nothing for the arrays make_instance and load_instance build.
     """
     A = np.ascontiguousarray(A, dtype=complex)
     s, m, K = A.shape
@@ -254,25 +260,10 @@ def _design_products(A: np.ndarray, X: np.ndarray, D: np.ndarray | None = None):
     for j in range(0, m, rows):
         np.matmul(Af[:, j : j + rows], W, out=R[:, j : j + rows])
     R = R.view(complex)
-    return R[:, :, 0], R[:, :, 1]
-
-
-def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray, Q=None):
-    """(P, Q, forward) with P[j, i] = b_j^* h_i and Q[i, j] = x_i^* a_ij.
-
-    This is the single arithmetic path shared by synthesis, residual and
-    gradient evaluation, so state == truth reproduces y - e bit for bit.
-    B is make_dft_rows(m, K), of which only the shape is read: column i of P
-    is the unitary inverse DFT of h_i zero-padded to length m, formed as a
-    contiguous (s, m) array whose transposed view is returned. Q is
-    _design_products(A, X)[0]; a caller that has formed it in its own pass
-    over A, with a d-pair alongside, passes it in and A is not read.
-    """
+    Q = R[:, :, 0]
     P = np.fft.ifft(H, n=B.shape[0], axis=1, norm="ortho").T
-    if Q is None:
-        Q = _design_products(A, X)[0]
     fwd = np.sum(P.T * Q, axis=0)
-    return P, Q, fwd
+    return P, Q, fwd, R[:, :, 1]
 
 
 def combine_rows(W: np.ndarray, K: int) -> np.ndarray:
@@ -336,7 +327,7 @@ def instance_metadata(inst: ProblemInstance) -> dict:
         "sigma": inst.sigma,
         "seed": inst.seed,
         "kappa": None if t is None else t.kappa,
-        "mu": None if t is None else metrics.incoherence_mu(t, inst.B),
+        "mu": None if t is None else metrics.incoherence_mu(t, inst.dims.m),
         "d0": None if t is None else t.d0,
         "convention": CONVENTION,
     }

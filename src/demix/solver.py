@@ -15,9 +15,10 @@ import numpy as np
 
 from . import metrics
 from .objective import DemixState, _gradient_full
-from .problem import ProblemInstance, _design_products
+from .problem import ProblemInstance
 
 _DIVERGENCE_FACTOR = 1e6
+_ZERO_NORM = "a source has zero norm; scaled step undefined"
 
 
 class DegenerateIterateError(RuntimeError):
@@ -139,7 +140,7 @@ def step_arrays(state: DemixState, Gh: np.ndarray, Gx: np.ndarray, eta: float) -
     nh = np.sum(np.abs(state.h) ** 2, axis=1)
     nx = np.sum(np.abs(state.x) ** 2, axis=1)
     if np.any(nh == 0) or np.any(nx == 0):
-        raise DegenerateIterateError("a source has zero norm; scaled step undefined")
+        raise DegenerateIterateError(_ZERO_NORM)
     return DemixState(
         h=state.h - (eta / nx)[:, None] * Gh,
         x=state.x - (eta / nh)[:, None] * Gx,
@@ -191,7 +192,8 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None
 
     Returns (final_state, records). Raises DivergenceError if the loss goes
     non-finite or exceeds 1e6 times the initial loss, and
-    DegenerateIterateError if a source reaches zero norm.
+    DegenerateIterateError, carrying the records made so far, if a source
+    reaches zero norm.
     """
     if held_out is None:
         state = spectral_init(inst)
@@ -217,9 +219,10 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None
                 # too large to align: the loss check below reports the
                 # divergence first, as when the alignment came after it
                 unalignable = ex
+            except ValueError:  # the only one align_source raises here: a zero-norm source
+                unalignable = DegenerateIterateError(_ZERO_NORM)
         D = None if align is None else align.alpha[:, None] * state.x - truth.x
-        Q, QD = _design_products(inst.A, state.x, D)
-        Gh, Gx, r, P, _ = _gradient_full(state, inst, held_out, Q)
+        Gh, Gx, r, P, QD = _gradient_full(state, inst, held_out, D)
         loss_t = float(np.real(np.vdot(r, r)))
         if loss0 is None:
             loss0 = loss_t
@@ -229,6 +232,7 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None
             on_iterate(t, state)
         if recording:
             if unalignable is not None:
+                unalignable.records = records
                 raise unalignable
             if t == 0 or truth is None:
                 prev_alpha = None

@@ -107,7 +107,7 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
         raise ValueError(f"check_rsc needs m >= 2, got m={m}: its side conditions divide by log m")
     s, K = truth.h.shape
     kappa = truth.kappa
-    mu = metrics.incoherence_mu(truth, inst.B)
+    mu = metrics.incoherence_mu(truth, m)
     rho = delta / (kappa * math.sqrt(s))
     lim_h = 2.0 * _C_B * mu * math.log(m) ** 2 / math.sqrt(m) * np.linalg.norm(truth.h, axis=1)
     lim_x = 2.0 * _C_A / (math.sqrt(s) * math.log(m) ** 1.5) * np.linalg.norm(truth.x, axis=1)
@@ -116,7 +116,8 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
     spare = _REJECTION_BUDGET
 
     def incoherent_h(i, v):
-        return np.max(np.abs(inst.B @ np.conj(v))) <= lim_h[i]
+        # |b_j^* v| over j, off the unitary inverse DFT as forward_parts forms P
+        return np.max(np.abs(np.fft.ifft(v, n=m, norm="ortho"))) <= lim_h[i]
 
     def incoherent_x(i, v):
         return np.max(np.abs(inst.A[i] @ np.conj(v - truth.x[i]))) <= lim_x[i]

@@ -16,7 +16,6 @@ from demix.metrics import (
 from demix.objective import DemixState
 from demix.problem import (
     Dimensions,
-    _design_products,
     forward_parts,
     make_instance,
     sample_ground_truth,
@@ -344,15 +343,19 @@ def test_mu_bounds_over_random_truths():
             sigma=0.0,
             seed=int(gen.integers(1 << 30)),
         )
-        mu = incoherence_mu(inst.truth, inst.B)
+        mu = incoherence_mu(inst.truth, m)
         assert 1.0 - 1e-12 <= mu <= np.sqrt(K) + 1e-12
+        # the inverse DFT against the dense product with the DFT rows
+        h = inst.truth.h
+        dense = np.abs(inst.B @ np.conj(h).T) / np.linalg.norm(h, axis=1)[None, :]
+        assert mu == pytest.approx(np.sqrt(m) * np.max(dense), rel=1e-14)
 
 
 def _record_products(st, truth, inst, alignments):
     # P and QD as run forms them for a record
     D = alignments.alpha[:, None] * st.x - truth.x
-    Q, QD = _design_products(inst.A, st.x, D)
-    return forward_parts(st.h, st.x, inst.A, inst.B, Q)[0], QD
+    P, _, _, QD = forward_parts(st.h, st.x, inst.A, inst.B, D)
+    return P, QD
 
 
 def test_incoherence_measures_at_truth(small_instance):
@@ -363,7 +366,7 @@ def test_incoherence_measures_at_truth(small_instance):
     P, QD = _record_products(st, inst.truth, inst, alignments)
     inc_a, inc_b = incoherence_measures(inst.truth, alignments, P, QD)
     assert inc_a <= 1e-7
-    want_b = incoherence_mu(inst.truth, inst.B) / np.sqrt(inst.dims.m)
+    want_b = incoherence_mu(inst.truth, inst.dims.m) / np.sqrt(inst.dims.m)
     assert inc_b == pytest.approx(want_b, rel=1e-6)
 
 

@@ -1,6 +1,7 @@
 """The package's export list, and the test oracles' independence from it."""
 
 import ast
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -81,3 +82,51 @@ def test_readme_references_resolve():
         }:
             missing.append(f"{name}::{func}")
     assert missing == []
+
+
+def _demix_object(name, modules):
+    # name as README writes it: dotted under demix or a module, or bare
+    if name.split(".")[0] in modules | {"demix"}:
+        candidates = [name if name.startswith("demix.") else f"demix.{name}"]
+    else:
+        candidates = [f"demix.{name}", *(f"demix.{mod}.{name}" for mod in sorted(modules))]
+    for candidate in candidates:
+        try:
+            return pkgutil.resolve_name(candidate)
+        except (ImportError, AttributeError):
+            pass
+    return None
+
+
+def test_readme_call_signatures_match():
+    # a backticked call such as `name(a, b, *, c)` or `name(..., kw=v)` whose
+    # name resolves under demix quotes parameters of its signature, in order:
+    # without `...` or `kw=` before it, a name is the next parameter; after
+    # `*`, it is keyword-only
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    modules = {p.stem for p in Path(demix.__file__).parent.glob("*.py")} - {"__init__"}
+    checked, wrong = 0, []
+    for name, arglist in re.findall(r"`((?:\w+\.)*\w+)\(([^()`]*)\)`", text):
+        args = [a.strip() for a in arglist.split(",") if a.strip()]
+        obj = _demix_object(name, modules)
+        if obj is None or not all(re.fullmatch(r"\.\.\.|\*|\w+(=.+)?", a) for a in args):
+            continue
+        params = list(inspect.signature(obj).parameters.values())
+        names = [p.name for p in params]
+        at, gap, keyword_only = 0, False, False
+        for arg in args:
+            if arg in ("...", "*"):
+                gap |= arg == "..."
+                keyword_only |= arg == "*"
+                continue
+            key = arg.split("=")[0]
+            i = names.index(key) if key in names else -1
+            if i < at or (i > at and not gap and "=" not in arg) or (
+                keyword_only and params[i].kind is not inspect.Parameter.KEYWORD_ONLY
+            ):
+                wrong.append(f"{name}({arglist}): {key}")
+                break
+            at, gap = i + 1, False
+        checked += 1
+    assert checked >= 7
+    assert wrong == []

@@ -21,7 +21,6 @@ from demix.problem import (
     InfiniteSNRError,
     ProblemInstance,
     ShapeError,
-    _design_products,
     check_instance,
     forward_parts,
     instance_metadata,
@@ -159,7 +158,7 @@ def test_fft_and_matmul_paths_agree(s, m, K):
     inst = make_instance(Dimensions(s=s, m=m, K=K), kappa=1.5, sigma=0.1, seed=2)
     gen = np.random.default_rng(m)
     state = DemixState(h=_complex(gen, (s, K)), x=_complex(gen, (s, K)))
-    P, Q, fwd = forward_parts(state.h, state.x, inst.A, inst.B)
+    P, Q, fwd, _ = forward_parts(state.h, state.x, inst.A, inst.B)
     got = (P, fwd, *_gradient_full(state, inst)[:2])
     B = inst.B
     P_mm = np.conj(B @ np.conj(state.h).T)
@@ -303,15 +302,17 @@ def test_forward_matches_naive(small_instance):
 def test_design_products_form_both_pairs_in_one_pass(s, m, K):
     # (2, 5100, 50) takes three row blocks
     gen = np.random.default_rng(m * K + s)
-    A, X, D = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-               for shape in ((s, m, K), (s, K), (s, K)))
-    Q, QD = _design_products(A, X, D)
+    A, H, X, D = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+                  for shape in ((s, m, K), (s, K), (s, K), (s, K)))
+    B = make_dft_rows(m, K)
+    _, Q, _, QD = forward_parts(H, X, A, B, D)
     for got, v in ((Q, X), (QD, D)):
         want = np.einsum("ijk,ik->ij", A, np.conj(v))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # Q's bits do not depend on the d-pair
-    assert Q.tobytes() == _design_products(A, X)[0].tobytes()
-    assert not np.any(_design_products(A, X)[1])
+    # Q's bits do not depend on the d-pair, and without one QD is zero
+    _, Q0, _, QD0 = forward_parts(H, X, A, B)
+    assert Q.tobytes() == Q0.tobytes()
+    assert QD0.shape == (s, m) and not np.any(QD0)
 
 
 @pytest.mark.parametrize(
@@ -368,7 +369,7 @@ def test_mu_is_the_tight_constant(small_instance):
                 abs(np.vdot(inst.B[j], inst.truth.h[i]))
                 / np.linalg.norm(inst.truth.h[i]),
             )
-    mu = demix.incoherence_mu(inst.truth, inst.B)
+    mu = demix.incoherence_mu(inst.truth, m)
     assert mu == pytest.approx(np.sqrt(m) * worst, rel=1e-12)
     assert 1.0 <= mu <= np.sqrt(inst.dims.K) + 1e-12
 
@@ -550,6 +551,17 @@ def test_load_instance_peak_memory(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.02 * size, f"peak {peak / size:.4f}x the file"
     assert back.A.flags.aligned and back.A.flags.writeable
+
+
+def test_saving_a_loaded_instance_never_builds_b(tmp_path):
+    # the file and its sidecar's mu need only m and K, not the DFT rows
+    inst = make_instance(Dimensions(s=2, m=64, K=4), kappa=1.5, sigma=0.1, seed=8)
+    save_instance(inst, tmp_path / "inst.bin")
+    back = load_instance(tmp_path / "inst.bin")
+    save_instance(back, tmp_path / "again.bin")
+    assert "B" not in vars(back)
+    for suffix in (".bin", ".json"):
+        assert (tmp_path / f"again{suffix}").read_bytes() == (tmp_path / f"inst{suffix}").read_bytes()
 
 
 def test_loaded_instance_runs_as_the_generated_one(tmp_path):

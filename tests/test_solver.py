@@ -373,18 +373,46 @@ def test_records_do_not_move_the_trajectory(dims, iters):
 
 
 def test_recorded_run_forms_one_design_product_per_iteration(small_instance, monkeypatch):
+    # the gradient's forward_parts is the one pass over A per iteration, and
+    # it carries the record's d-pair exactly at the recorded iterations
     calls = []
-    products = demix.problem._design_products
+    forward_parts = demix.objective.forward_parts
 
-    def counted(*args):
-        calls.append(args[2] is not None)
-        return products(*args)
+    def counted(H, X, A, B, D=None):
+        calls.append(D is not None)
+        return forward_parts(H, X, A, B, D)
 
-    monkeypatch.setattr(demix.problem, "_design_products", counted)
-    monkeypatch.setattr(demix.solver, "_design_products", counted)
-    _, records = run(small_instance, SolverConfig(eta=0.2, max_iters=6, record_every=1))
-    # one product per iteration, each carrying the record's d-pair
-    assert calls == [True] * 7 and len(records) == 7
+    monkeypatch.setattr(demix.objective, "forward_parts", counted)
+    for record_every, max_iters, recorded in ((1, 6, range(7)), (3, 7, (0, 3, 6, 7))):
+        calls.clear()
+        cfg = SolverConfig(eta=0.2, max_iters=max_iters, record_every=record_every)
+        _, records = run(small_instance, cfg)
+        assert [r.iter for r in records] == list(recorded)
+        assert calls == [t in recorded for t in range(max_iters + 1)]
+
+
+@pytest.mark.parametrize("truth", [True, False], ids=["truth", "blind"])
+@pytest.mark.parametrize("zeroed", ["y", "design_row"])
+def test_zero_norm_source_is_a_degenerate_iterate(truth, zeroed):
+    # a zero y, or a zero design for source 1, gives a spectral start with a
+    # zero-norm source; with a truth it cannot be aligned, without one it
+    # cannot be stepped, and either way on_iterate sees t = 0 first
+    inst = make_instance(Dimensions(2, 64, 8), seed=1)
+    if zeroed == "y":
+        inst = dataclasses.replace(inst, y=np.zeros(64, complex))
+    else:
+        A = inst.A.copy()
+        A[1] = 0
+        y, e = demix.synthesize_measurements(inst.truth, A, inst.sigma, inst.seed)
+        inst = dataclasses.replace(inst, A=A, y=y, e=e)
+    if not truth:
+        inst = dataclasses.replace(inst, truth=None)
+    seen = []
+    with pytest.raises(DegenerateIterateError) as info:
+        run(inst, SolverConfig(eta=0.1, max_iters=5), on_iterate=lambda t, st: seen.append(t))
+    assert seen == [0]
+    # the blind run has made its record at t = 0; the truth's record needs an alignment
+    assert [r.iter for r in info.value.records] == ([] if truth else [0])
 
 
 @pytest.mark.parametrize(
