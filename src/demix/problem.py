@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,11 @@ _VERSION = 2
 _FLAG_TRUTH = 1
 _FLAG_NOISE = 2
 _MASK64 = (1 << 64) - 1
-_HEADER_BYTES = 60  # magic, the packed fields of save_instance, convention tag
+# The container header: magic, version, flags, s, m, K, sigma, seed and the
+# 16-byte convention tag, which struct pads with zeros.
+_HEADER = struct.Struct("<8sIIIIIdQ16s")
+# Real and imaginary parts of a loaded A checked for finiteness at a time.
+_SCAN_BLOCK = 32768
 # Largest M N K of one real product of the design, taken in row blocks of
 # at most this size: OpenBLAS multiplies such a product without packing A,
 # and above it a width-4 product took twice as long as a complex gemv.
@@ -156,9 +161,10 @@ class ProblemInstance:
 
 
 def check_instance(inst: ProblemInstance) -> None:
-    """Shape and finiteness checks, run by the constructor and so by
-    dataclasses.replace. B is derived, never passed in; A is not scanned,
-    since a scan of the largest array would cost a temporary 1/8 its size."""
+    """Shape checks, finite sigma, y and e, and sigma >= 0, run by the
+    constructor and so by dataclasses.replace. B is derived, never passed in;
+    A is not scanned, since a scan of the largest array would cost a
+    temporary 1/8 its size (load_instance scans a file's A in blocks)."""
     s, m, K = inst.dims.s, inst.dims.m, inst.dims.K
     if inst.A.shape != (s, m, K):
         raise ShapeError(f"A must be (s, m, K)={(s, m, K)}, got {inst.A.shape}")
@@ -171,6 +177,8 @@ def check_instance(inst: ProblemInstance) -> None:
     for name in ("sigma", "y", "e"):
         if not np.isfinite(getattr(inst, name)).all():
             raise ValueError(f"{name} must be finite")
+    if inst.sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {inst.sigma}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -333,106 +341,90 @@ def instance_metadata(inst: ProblemInstance) -> dict:
     }
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+def _layout(flags: int, s: int, m: int, K: int) -> list:
+    """The container's payload as (name, shape) in file order: A, y, then e
+    if flags has _FLAG_NOISE, then the truth's h and x if it has _FLAG_TRUTH."""
+    return (
+        [("A", (s, m, K)), ("y", (m,))]
+        + [("e", (m,))] * bool(flags & _FLAG_NOISE)
+        + [("h", (s, K)), ("x", (s, K))] * bool(flags & _FLAG_TRUTH)
+    )
 
 
 def save_instance(inst: ProblemInstance, path) -> None:
     """Self-describing binary container plus a JSON metadata sidecar.
 
-    Layout: magic, version u32 (2), flags u32, s/m/K u32, sigma f64, seed
-    u64, 16-byte convention tag, then little-endian complex128 payload in the
-    fixed order A, y, [e], [truth h, truth x]. B is not stored: it is a
-    function of m and K.
+    The _HEADER struct (magic, version u32 2, flags u32, s/m/K u32, sigma
+    f64, seed u64, 16-byte convention tag), then the arrays of _layout as
+    little-endian complex128. B is not stored: it is a function of m and K.
     """
-    flags = 0
-    if inst.truth is not None:
-        flags |= _FLAG_TRUTH
-    if inst.e.size:
-        flags |= _FLAG_NOISE
-    header = _MAGIC + struct.pack(
-        "<IIIIIdQ",
-        _VERSION,
-        flags,
-        inst.dims.s,
-        inst.dims.m,
-        inst.dims.K,
-        inst.sigma,
-        inst.seed & _MASK64,
-    )
-    header += CONVENTION.encode().ljust(16, b"\0")
+    s, m, K = inst.dims.s, inst.dims.m, inst.dims.K
+    t = inst.truth
+    flags = (_FLAG_TRUTH if t is not None else 0) | (_FLAG_NOISE if inst.e.size else 0)
+    arrays = {"A": inst.A, "y": inst.y, "e": inst.e}
+    if t is not None:
+        arrays.update(h=t.h, x=t.x)
     with open(path, "wb") as fh:
-        fh.write(header)
-        _write_array(fh, inst.A)
-        _write_array(fh, inst.y)
-        if inst.e.size:
-            _write_array(fh, inst.e)
-        if inst.truth is not None:
-            _write_array(fh, inst.truth.h)
-            _write_array(fh, inst.truth.x)
+        fh.write(_HEADER.pack(
+            _MAGIC, _VERSION, flags, s, m, K, inst.sigma, inst.seed & _MASK64, CONVENTION.encode()
+        ))
+        for name, _ in _layout(flags, s, m, K):
+            np.ascontiguousarray(arrays[name], dtype="<c16").tofile(fh)
     with open(Path(path).with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(instance_metadata(inst), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_instance(path) -> ProblemInstance:
-    """Read a container written by save_instance; its size must match its header.
+    """Read a container written by save_instance; every refusal names the file.
 
-    Only version 2 is read. A version-1 file, which also stored B, is refused;
-    `demix generate` remakes it from its JSON sidecar's s, m, K, sigma, kappa
-    and seed. The payload is read straight into one array, which the
-    instance's arrays are views of, so loading never holds it twice, and the
-    instance's B is not built until it is first used.
+    The file's size must be the one its header implies. Only version 2 is
+    read. A version-1 file, which also stored B, is refused; `demix generate`
+    remakes it from its JSON sidecar's s, m, K, sigma, kappa and seed. Each
+    array of _layout is read into its own array by one np.fromfile, so loading
+    never holds the payload twice. A is scanned for a non-finite entry in
+    blocks of _SCAN_BLOCK, and the instance's B is not built until first use.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER_BYTES)
+        head = fh.read(_HEADER.size)
         if head[:8] != _MAGIC:
             raise ValueError(f"not an instance file: {path}")
-        if len(head) < _HEADER_BYTES:
+        if len(head) < _HEADER.size:
             raise ValueError(f"instance file {path} is truncated inside its header")
-        version, flags, s, m, K, sigma, seed = struct.unpack_from("<IIIIIdQ", head, 8)
+        _, version, flags, s, m, K, sigma, seed, tag = _HEADER.unpack(head)
         if version != _VERSION:
-            raise ValueError(f"unsupported container version {version}")
+            raise ValueError(f"instance file {path} has unsupported container version {version}")
         if flags & ~(_FLAG_TRUTH | _FLAG_NOISE):
             raise ValueError(f"instance file {path} has unknown flag bits: {flags:#x}")
-        tag = head[44:60]
         if tag != CONVENTION.encode().ljust(16, b"\0"):
             raise ValueError(f"instance file {path} has unknown convention tag {tag!r}")
-        shapes = {"A": (s, m, K), "y": (m,)}
-        if flags & _FLAG_NOISE:
-            shapes["e"] = (m,)
-        if flags & _FLAG_TRUTH:
-            shapes.update(h=(s, K), x=(s, K))
-        ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
-        want = _HEADER_BYTES + 16 * int(ends[-1])
-
-        def size_error(size):
+        layout = _layout(flags, s, m, K)
+        want = _HEADER.size + 16 * sum(math.prod(shape) for _, shape in layout)
+        size = os.fstat(fh.fileno()).st_size
+        if size != want:
             what = "truncated" if size < want else "followed by trailing bytes"
-            return ValueError(
+            raise ValueError(
                 f"instance file {path} is {what}: {size} bytes, "
                 f"the header (s={s}, m={m}, K={K}, flags={flags}) implies {want}"
             )
-
-        size = os.fstat(fh.fileno()).st_size
-        if size != want:
-            raise size_error(size)
-        dims = Dimensions(s=s, m=m, K=K)
-        # an array of its own, so the payload is aligned for BLAS
-        body = np.empty(16 * int(ends[-1]), dtype=np.uint8)
-        if fh.readinto(body) < body.size:
-            raise size_error(fh.tell())
-    payload = body.view("<c16").astype(np.complex128, copy=False)
-    arrays = {
-        name: part.reshape(shape)
-        for (name, shape), part in zip(shapes.items(), np.split(payload, ends[:-1]))
-    }
-    truth = GroundTruth(arrays["h"], arrays["x"]) if flags & _FLAG_TRUTH else None
-    return ProblemInstance(
-        dims=dims,
-        A=arrays["A"],
-        y=arrays["y"],
-        e=arrays.get("e", np.zeros(0, dtype=complex)),
-        sigma=sigma,
-        seed=seed,
-        truth=truth,
-    )
+        arrays = {
+            name: np.fromfile(fh, "<c16", math.prod(shape)).astype(complex, copy=False)
+            .reshape(shape)
+            for name, shape in layout
+        }
+    A = arrays["A"].reshape(-1).view(np.float64)  # tested as floats: twice as fast as complex
+    for j in range(0, A.size, _SCAN_BLOCK):
+        if not np.isfinite(A[j : j + _SCAN_BLOCK]).all():
+            raise ValueError(f"instance file {path} has a non-finite entry in A")
+    try:
+        return ProblemInstance(
+            dims=Dimensions(s=s, m=m, K=K),
+            A=arrays["A"],
+            y=arrays["y"],
+            e=arrays.get("e", np.zeros(0, dtype=complex)),
+            sigma=sigma,
+            seed=seed,
+            truth=GroundTruth(arrays["h"], arrays["x"]) if flags & _FLAG_TRUTH else None,
+        )
+    except ValueError as err:
+        raise type(err)(f"instance file {path}: {err}") from err

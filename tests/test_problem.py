@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demix
-from demix import _rng
+from demix import _rng, problem
 from demix.objective import DemixState, _gradient_full, residuals
 from demix.problem import (
     CONVENTION,
@@ -445,6 +446,8 @@ def _version_one(tmp_path, inst):
          "truth must be"),
         (lambda inst, tmp: dataclasses.replace(inst, sigma=np.nan), ValueError,
          "sigma must be finite"),
+        (lambda inst, tmp: dataclasses.replace(inst, sigma=-1.0), ValueError,
+         "sigma must be >= 0, got -1.0"),
         (lambda inst, tmp: dataclasses.replace(inst, y=_with_entry(inst.y, 3, np.nan)), ValueError,
          "y must be finite"),
         (lambda inst, tmp: dataclasses.replace(inst, e=_with_entry(inst.y, 0, np.inf)), ValueError,
@@ -476,8 +479,8 @@ def _version_one(tmp_path, inst):
         (lambda inst, tmp: _rng.stream(1, -1), ValueError, "stream tag out of range: -1"),
     ],
     ids=["check_instance_B", "check_instance_e", "check_instance_truth", "check_instance_sigma_nan",
-         "check_instance_y_nan", "check_instance_e_inf", "truth_h_nan", "truth_x_inf", "dims_float",
-         "dims_fraction", "dims_bool", "synthesize_sigma", "synthesize_K", "synthesize_s",
+         "check_instance_sigma_negative", "check_instance_y_nan", "check_instance_e_inf",
+         "truth_h_nan", "truth_x_inf", "dims_float", "dims_fraction", "dims_bool", "synthesize_sigma", "synthesize_K", "synthesize_s",
          "synthesize_sigma_nan", "synthesize_sigma_inf", "load_version", "stream_tag_256",
          "stream_tag_neg"],
 )
@@ -533,8 +536,8 @@ def test_save_load_without_truth(tmp_path, small_instance):
 
 
 def test_load_instance_peak_memory(tmp_path):
-    # the file holds no B, and a load builds none from the cold cache: the
-    # payload is read into the one array the instance's arrays view
+    # the file holds no B, and a load builds none from the cold cache: each
+    # array is read into its own array, and A is scanned in small blocks
     inst = make_instance(Dimensions(s=10, m=1600, K=50), kappa=1.0, sigma=0.1, seed=4)
     path = tmp_path / "inst.bin"
     save_instance(inst, path)
@@ -584,7 +587,8 @@ def test_load_rejects_a_zero_truth_source(tmp_path, noisy_instance):
     save_instance(noisy_instance, path)
     s, K = noisy_instance.dims.s, noisy_instance.dims.K
     path.write_bytes(path.read_bytes()[: -16 * K] + bytes(16 * K))
-    with pytest.raises(ValueError, match=f"truth source {s - 1} has \\|\\|x_{s - 1}\\|\\| = 0"):
+    with pytest.raises(ValueError, match=re.escape(str(path))
+                       + f".*truth source {s - 1} has \\|\\|x_{s - 1}\\|\\| = 0"):
         load_instance(path)
     with pytest.raises(ValueError, match="truth source 0 has \\|\\|h_0\\|\\| = 0"):
         demix.GroundTruth(np.zeros((2, K), complex), noisy_instance.truth.x)
@@ -647,6 +651,89 @@ def test_load_rejects_unknown_flag_bits(tmp_path, noisy_instance):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="unknown flag bits"):
         load_instance(path)
+
+
+def _file_with(tmp_path, inst, at, data):
+    path = tmp_path / "inst.bin"
+    save_instance(inst, path)
+    blob = bytearray(path.read_bytes())
+    blob[at : at + len(data)] = data
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize(
+    "at, data, message",
+    [
+        (8, (1).to_bytes(4, "little"), "unsupported container version 1"),
+        (28, struct.pack("<d", -1.0), "sigma must be >= 0"),
+        (60, struct.pack("<d", np.nan), "non-finite entry in A"),  # Re A[0, 0, 0]
+        (60 + 16 * (2 * 64 * 8) - 8, struct.pack("<d", np.inf), "non-finite entry in A"),
+        (60 + 16 * (2 * 64 * 8) + 16 * 3, struct.pack("<d", np.nan), "y must be finite"),
+    ],
+    ids=["version", "sigma_negative", "A_nan", "A_inf", "y_nan"],
+)
+def test_every_load_refusal_names_the_file(tmp_path, monkeypatch, at, data, message):
+    # a noisy s=2, m=64, K=8 file: A, y, e and the truth follow the 60-byte header
+    # (test_load_rejects_a_zero_truth_source covers a refusal of the truth);
+    # A's 2048 real numbers are scanned in 21 blocks, the last one partial
+    monkeypatch.setattr(problem, "_SCAN_BLOCK", 100)
+    inst = make_instance(Dimensions(2, 64, 8), sigma=0.1, seed=1)
+    path = _file_with(tmp_path, inst, at, data)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        load_instance(path)
+
+
+def _bare_header(s, m, K):
+    # version 2, no flags, sigma 0, seed 0
+    return b"DEMIX01\n" + struct.pack("<IIIIIdQ16s", 2, 0, s, m, K, 0.0, 0, b"dft-neg-v1")
+
+
+def test_load_names_the_file_in_a_dimension_error(tmp_path):
+    # a header with m < K and exactly the payload it implies: A and y
+    path = tmp_path / "inst.bin"
+    path.write_bytes(_bare_header(1, 1, 2) + bytes(16 * (2 + 1)))
+    with pytest.raises(DimensionError, match=re.escape(str(path)) + ".*needs m >= K"):
+        load_instance(path)
+
+
+def test_load_refuses_a_header_whose_payload_size_wraps_int64(tmp_path):
+    # s m K = 2^64 wraps to 0 in int64, so this file is the size of y alone
+    path = tmp_path / "wrap.bin"
+    path.write_bytes(_bare_header(2**30, 2**17, 2**17) + bytes(16 * 2**17))
+    assert path.stat().st_size == 2_097_212
+    with pytest.raises(ValueError, match=re.escape(str(path)) + " is truncated: 2097212 bytes"):
+        load_instance(path)
+
+
+def test_the_container_format_literally(tmp_path):
+    # the format as bytes, not as the code states it: a 60-byte header, then
+    # A, y, e, h and x as little-endian complex128, in that order
+    inst = make_instance(Dimensions(1, 2, 1), sigma=0.5, seed=7)
+    path = tmp_path / "tiny.bin"
+    save_instance(inst, path)
+    blob = path.read_bytes()
+    assert blob[:60] == (
+        b"DEMIX01\n"
+        b"\x02\0\0\0"  # version 2
+        b"\x03\0\0\0"  # flags: truth | noise
+        b"\x01\0\0\0" b"\x02\0\0\0" b"\x01\0\0\0"  # s, m, K
+        b"\0\0\0\0\0\0\xe0\x3f"  # sigma = 0.5
+        b"\x07\0\0\0\0\0\0\0"  # seed
+        b"dft-neg-v1\0\0\0\0\0\0"  # convention tag
+    )
+    parts = (inst.A, inst.y, inst.e, inst.truth.h, inst.truth.x)
+    assert blob[60:] == b"".join(a.astype("<c16").tobytes() for a in parts)
+
+
+def test_save_and_load_share_one_payload_layout(tmp_path, noisy_instance, monkeypatch):
+    # with the order reversed, the file changes and the round trip does not
+    layout = problem._layout
+    monkeypatch.setattr(problem, "_layout", lambda *args: layout(*args)[::-1])
+    path = tmp_path / "inst.bin"
+    save_instance(noisy_instance, path)
+    assert path.read_bytes()[60:].startswith(noisy_instance.truth.x.tobytes())
+    _assert_instances_equal(noisy_instance, load_instance(path))
 
 
 def test_metadata_schema(tmp_path, noisy_instance):
