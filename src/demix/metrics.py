@@ -198,7 +198,11 @@ def relative_error(state, truth) -> float:
 
 def incoherence_mu(truth, m) -> float:
     """Smallest mu with |b_j^* h_i| <= mu ||h_i|| / sqrt(m) for all (i, j), each
-    b_j^* h_i read off the unitary inverse DFT as problem.forward_parts forms P."""
+    b_j^* h_i read off the unitary inverse DFT as problem.forward_parts forms P.
+    Needs m >= K: a shorter transform would crop h."""
+    K = truth.h.shape[1]
+    if m < K:
+        raise ValueError(f"incoherence_mu needs m >= K, got m={m} and K={K}")
     P = np.abs(np.fft.ifft(truth.h, n=m, axis=1, norm="ortho"))  # (s, m), |b_j^* h_i|
     norms = np.linalg.norm(truth.h, axis=1)
     return float(np.sqrt(m) * np.max(P / norms[:, None]))

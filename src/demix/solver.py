@@ -24,22 +24,21 @@ _ZERO_NORM = "a source has zero norm; scaled step undefined"
 class DegenerateIterateError(RuntimeError):
     """A source collapsed to zero norm, so the scaled step is undefined.
 
-    Raised from run, it carries the records gathered so far in `records`.
+    Raised from run, it carries the records made so far in `records`.
     """
 
 
 class DivergenceError(RuntimeError):
     """Loss went non-finite or blew past 1e6 times its initial value.
 
-    Carries the records gathered up to the failing iteration so callers can
-    still write a partial trajectory.
+    Raised from run, it carries the records made before the failing
+    iteration in `records`, so callers can still write a partial trajectory.
     """
 
-    def __init__(self, iteration: int, loss_value: float, records=None):
+    def __init__(self, iteration: int, loss_value: float):
         super().__init__(f"loss diverged at iteration {iteration}: {loss_value!r}")
         self.iteration = iteration
         self.loss_value = loss_value
-        self.records = list(records) if records is not None else []
 
 
 @dataclass
@@ -180,82 +179,67 @@ def _record(t, loss_t, state, truth, align, P, QD, prev_alpha) -> TrajectoryReco
 def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None):
     """Algorithm loop: spectral init, then max_iters scaled gradient steps.
 
-    Records at iteration 0, every record_every iterations, and at the final
-    iterate. Early stop when relative error falls below stop_tol, checked
-    at record points only (needs truth attached). The optional on_iterate
-    callback sees (t, state) at every iteration. A held_out index l runs
-    the descent without measurement l: y[l] is zeroed in the spectral start
+    Records at iteration 0, every record_every iterations and the final
+    iterate; with a truth, stops early at a record whose relative error is
+    at most stop_tol (0 disables). on_iterate, if given, sees (t, state) at
+    every iteration. held_out, an integer l in [0, m) (else ValueError or
+    IndexError), deletes measurement l: y[l] is zeroed in the spectral start
     and the residual's entry l in every gradient, so neither y[l] nor the
-    design vectors a_il enter the iterates. An iterate is read from the
-    design once: at a record it is aligned first, and the product that
-    forms the gradient's Q also forms the record's incoherence product.
+    a_il enter the iterates. At a record the iterate is aligned first, so
+    that the pass over A that forms the gradient's Q also forms the
+    record's incoherence product.
 
-    Returns (final_state, records). Raises DivergenceError if the loss goes
-    non-finite or exceeds 1e6 times the initial loss, and
-    DegenerateIterateError, carrying the records made so far, if a source
-    reaches zero norm.
+    Returns (final_state, records). Every exception raised after the
+    spectral start carries the records made so far in `records`:
+    DivergenceError (loss non-finite or above 1e6 times its initial value),
+    DegenerateIterateError (a source at zero norm) and np.linalg.LinAlgError
+    (an iterate too large to align).
     """
     if held_out is None:
         state = spectral_init(inst)
     else:
+        if isinstance(held_out, bool) or not isinstance(held_out, (int, np.integer)):
+            raise ValueError(f"held-out index must be an integer, got {held_out!r}")
+        if not 0 <= held_out < inst.dims.m:
+            raise IndexError(f"held-out index {held_out} outside [0, {inst.dims.m})")
         y = inst.y.copy()
         y[held_out] = 0
         state = spectral_init(replace(inst, y=y))
     truth = inst.truth
     records: list[TrajectoryRecord] = []
-    prev_state = None
-    loss0 = None
-    t = 0
-    while True:
-        stepping = t < cfg.max_iters
-        recording = t % cfg.record_every == 0 or not stepping
-        align = unalignable = None
-        if recording and truth is not None:
-            # aligned before the gradient, so that the pass over A that
-            # forms Q also forms the record's incoherence product
-            try:
-                align = metrics.align_state(state, truth)
-            except np.linalg.LinAlgError as ex:
-                # too large to align: the loss check below reports the
-                # divergence first, as when the alignment came after it
-                unalignable = ex
-            except ValueError:  # the only one align_source raises here: a zero-norm source
-                unalignable = DegenerateIterateError(_ZERO_NORM)
-        D = None if align is None else align.alpha[:, None] * state.x - truth.x
-        Gh, Gx, r, P, QD = _gradient_full(state, inst, held_out, D)
-        loss_t = float(np.real(np.vdot(r, r)))
-        if loss0 is None:
-            loss0 = loss_t
-        if not np.isfinite(loss_t) or (loss0 > 0 and loss_t > _DIVERGENCE_FACTOR * loss0):
-            raise DivergenceError(t, loss_t, records)
-        if on_iterate is not None:
-            on_iterate(t, state)
-        if recording:
-            if unalignable is not None:
-                unalignable.records = records
-                raise unalignable
-            if t == 0 or truth is None:
-                prev_alpha = None
-            elif records[-1].iter == t - 1:
-                prev_alpha = records[-1].alignment.alpha
-            else:
-                prev_alpha = metrics.align_state(prev_state, truth).alpha
-            rec = _record(t, loss_t, state, truth, align, P, QD, prev_alpha)
-            records.append(rec)
-            if (
-                truth is not None
-                and cfg.stop_tol > 0
-                and rec.relative_error is not None
-                and rec.relative_error <= cfg.stop_tol
-            ):
-                break
-        if not stepping:
-            break
-        prev_state = state
-        try:
-            state = step_arrays(state, Gh, Gx, cfg.eta)
-        except DegenerateIterateError as ex:
-            ex.records = records
-            raise
-        t += 1
+    prev_state = prev_alpha = None  # prev_alpha: the predecessor's, if it was recorded
+    try:
+        for t in range(cfg.max_iters + 1):
+            recording = t % cfg.record_every == 0 or t == cfg.max_iters
+            align = unalignable = None
+            if recording and truth is not None:
+                try:
+                    align = metrics.align_state(state, truth)
+                except np.linalg.LinAlgError as ex:
+                    unalignable = ex  # too large to align: the loss check reports first
+                except ValueError:  # the only one align_source raises here: a zero-norm source
+                    unalignable = DegenerateIterateError(_ZERO_NORM)
+            D = None if align is None else align.alpha[:, None] * state.x - truth.x
+            Gh, Gx, r, P, QD = _gradient_full(state, inst, held_out, D)
+            loss_t = float(np.real(np.vdot(r, r)))
+            loss0 = loss_t if t == 0 else loss0
+            if not np.isfinite(loss_t) or (loss0 > 0 and loss_t > _DIVERGENCE_FACTOR * loss0):
+                raise DivergenceError(t, loss_t)
+            if on_iterate is not None:
+                on_iterate(t, state)
+            if recording:
+                if unalignable is not None:
+                    raise unalignable
+                if t > 0 and truth is not None and prev_alpha is None:
+                    prev_alpha = metrics.align_state(prev_state, truth).alpha
+                rec = _record(t, loss_t, state, truth, align, P, QD, prev_alpha)
+                records.append(rec)
+                if cfg.stop_tol > 0 and truth is not None and rec.relative_error <= cfg.stop_tol:
+                    break
+            if t < cfg.max_iters:
+                prev_state, prev_alpha = state, None if align is None else align.alpha
+                state = step_arrays(state, Gh, Gx, cfg.eta)
+    except (DivergenceError, DegenerateIterateError, np.linalg.LinAlgError) as ex:
+        ex.records = records
+        raise
     return state, records

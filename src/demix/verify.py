@@ -99,6 +99,8 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
     truth = inst.truth
     if truth is None:
         raise ValueError("check_rsc requires an instance with ground truth")
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 1 or not delta > 0:
         raise ValueError(f"check_rsc needs n_points >= 1 and delta > 0, got "
                          f"{n_points} and {delta}")
@@ -183,6 +185,8 @@ def spectral_concentration(
     (and noise) from a derived seed, forms its back-projections M_i and keeps
     only their deviations, so memory does not grow with n_trials.
     """
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)):
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     truth = sample_ground_truth(dims, kappa, rng_seed)
@@ -225,6 +229,8 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
         raise ValueError(f"leave-one-out needs m >= 2, got m={m}: a held-out run has "
                          "no measurement left to fit")
     for l in l_set:
+        if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+            raise ValueError(f"held-out index must be an integer, got {l!r}")
         if not 0 <= l < m:
             raise IndexError(f"held-out index {l} outside [0, {m})")
 

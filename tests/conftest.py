@@ -65,6 +65,21 @@ def backprojection_log(monkeypatch):
     return log
 
 
+def fail_align_on_call(monkeypatch, k):
+    """Make the k-th metrics.align_state call raise LinAlgError, as an
+    iterate too large to align does."""
+    calls = []
+    align_state = demix.metrics.align_state
+
+    def failing(state, ref):
+        calls.append(None)
+        if len(calls) == k:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return align_state(state, ref)
+
+    monkeypatch.setattr(demix.metrics, "align_state", failing)
+
+
 def trial_mean_error(stack, truth):
     """Entrywise |trial mean - h'_i x'_i^*| of an (n_trials, s, K, K) stack of
     back-projections, and the larger of its real and imaginary standard errors."""

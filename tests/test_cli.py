@@ -13,6 +13,7 @@ from demix.problem import Dimensions, load_instance, make_instance
 from demix.solver import DegenerateIterateError, SolverConfig, run
 from demix.verify import NOISE_MODEL_NOTE
 
+from conftest import fail_align_on_call
 from oracles import grid_align, mp_align, mp_record_metrics
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -73,6 +74,18 @@ def test_run_divergence_exit_code_and_partial_csv(tmp_path):
     assert lines[0] == CSV_HEADER
     assert "diverged at iteration" in lines[-1]
     assert len(lines) >= 3  # at least one recorded iterate before the error line
+
+
+def test_run_alignment_failure_keeps_partial_csv(tmp_path, monkeypatch):
+    # the third alignment is that of t = 3's unrecorded predecessor; the
+    # record made at t = 0 still reaches the CSV before the error line
+    fail_align_on_call(monkeypatch, 3)
+    cfg = write_config(tmp_path, max_iters=7, record_every=3)
+    assert main(["run", "--config", str(cfg)]) == 1
+    out = tmp_path / "out" / "trajectory_K4_s1_m64_kappa1_sigma0_seed3.csv"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER and lines[1].startswith("0,")
+    assert lines[2:] == [',,,,,,,"Eigenvalues did not converge"']
 
 
 def test_golden_trajectory_is_reproduced(tmp_path):

@@ -351,6 +351,15 @@ def test_mu_bounds_over_random_truths():
         assert mu == pytest.approx(np.sqrt(m) * np.max(dense), rel=1e-14)
 
 
+@pytest.mark.parametrize("m", [1, 4, 7])
+def test_mu_refuses_fewer_measurements_than_k(m):
+    # an inverse DFT of length m < K would crop h and give a wrong mu
+    truth = make_instance(Dimensions(2, 64, 8), seed=1).truth
+    with pytest.raises(ValueError, match=f"m >= K, got m={m} and K=8"):
+        incoherence_mu(truth, m)
+    assert incoherence_mu(truth, 8) >= 1.0 - 1e-12
+
+
 def _record_products(st, truth, inst, alignments):
     # P and QD as run forms them for a record
     D = alignments.alpha[:, None] * st.x - truth.x

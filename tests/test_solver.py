@@ -22,7 +22,7 @@ from demix.solver import (
     wf_step,
 )
 
-from conftest import FIG1A_SEEDS, random_state
+from conftest import FIG1A_SEEDS, fail_align_on_call, random_state
 from oracles import iters_to, lsq_slope, mp_incoherence_a, naive_backprojection
 
 
@@ -349,6 +349,38 @@ def test_run_divergence_from_a_huge_step(eta):
     assert [r.iter for r in info.value.records] == [0]
 
 
+@pytest.mark.parametrize(
+    "held_out, error, message",
+    [(-1, IndexError, r"held-out index -1 outside \[0, 24\)"),
+     (24, IndexError, r"held-out index 24 outside \[0, 24\)"),
+     (True, ValueError, "held-out index must be an integer, got True"),
+     (2.0, ValueError, "held-out index must be an integer, got 2.0")],
+    ids=["negative", "m", "bool", "float"],
+)
+def test_run_refuses_a_bad_held_out_index(small_instance, held_out, error, message):
+    # -1 would delete measurement m - 1 and True would mask all of y
+    with pytest.raises(error, match=message):
+        run(small_instance, SolverConfig(eta=0.2, max_iters=3), held_out=held_out)
+
+
+@pytest.mark.parametrize(
+    "record_every, seen, kept",
+    [
+        (1, [0, 1, 2], [0, 1]),  # the third call aligns the iterate at t = 2
+        (3, [0, 1, 2, 3], [0]),  # the third call aligns t = 3's unrecorded predecessor
+    ],
+    ids=["iterate", "predecessor"],
+)
+def test_run_failure_carries_its_records(small_instance, monkeypatch, record_every, seen, kept):
+    fail_align_on_call(monkeypatch, 3)
+    iters = []
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        run(small_instance, SolverConfig(eta=0.2, max_iters=7, record_every=record_every),
+            on_iterate=lambda t, state: iters.append(t))
+    assert iters == seen
+    assert [r.iter for r in info.value.records] == kept
+
+
 # ------------------------------------------------------ one pass over A
 
 
@@ -361,15 +393,21 @@ def test_run_divergence_from_a_huge_step(eta):
 def test_records_do_not_move_the_trajectory(dims, iters):
     # a record's d-pair rides in the product that forms Q; Q keeps its bits
     # whatever the d-pair holds, so recording every iterate or only the ends
-    # gives the same run
+    # gives the same run, and the same records where both record
     inst = make_instance(Dimensions(*dims), kappa=1.5, sigma=0.05, seed=3)
     (st_a, rec_a), (st_b, rec_b) = (
         run(inst, SolverConfig(eta=0.1, max_iters=iters, record_every=k)) for k in (1, iters)
     )
     assert st_a.h.tobytes() == st_b.h.tobytes() and st_a.x.tobytes() == st_b.x.tobytes()
-    losses = {r.iter: r.loss for r in rec_a}
+
+    def bits(r):
+        fields = (r.loss, r.relative_error, r.dist, r.incoherence_a, r.incoherence_b,
+                  r.alignment_ratios, r.alignment.alpha, r.alignment.error)
+        return [np.asarray(v).tobytes() for v in fields]
+
+    by_iter = {r.iter: bits(r) for r in rec_a}
     assert [r.iter for r in rec_b] == [0, iters]
-    assert all(r.loss == losses[r.iter] for r in rec_b)
+    assert all(bits(r) == by_iter[r.iter] for r in rec_b)
 
 
 def test_recorded_run_forms_one_design_product_per_iteration(small_instance, monkeypatch):

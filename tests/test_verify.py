@@ -234,6 +234,10 @@ def test_check_rsc_memory_is_a_few_source_designs():
 def test_check_rsc_input_validation(small_instance):
     with pytest.raises(ValueError):
         check_rsc(small_instance, n_points=0, delta=0.1, rng_seed=1)
+    for n_points in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            check_rsc(small_instance, n_points=n_points, delta=0.1, rng_seed=1)
+    assert check_rsc(small_instance, n_points=np.int64(1), delta=0.1, rng_seed=1).n_points == 1
     blind = dataclasses.replace(small_instance, truth=None)
     with pytest.raises(ValueError):
         check_rsc(blind, n_points=2, delta=0.1, rng_seed=1)
@@ -299,6 +303,10 @@ def test_spectral_concentration_memory_does_not_grow_with_trials():
 def test_spectral_concentration_rejects_empty():
     with pytest.raises(ValueError):
         spectral_concentration(Dimensions(s=1, m=8, K=2), 0.0, 0, 1)
+    for n_trials in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match="n_trials must be an integer"):
+            spectral_concentration(Dimensions(s=1, m=8, K=2), 0.0, n_trials, 1)
+    assert spectral_concentration(Dimensions(s=1, m=8, K=2), 0.0, np.int64(2), 1).shape == (2, 1)
 
 
 # ------------------------------------------------------------- leave-one-out
@@ -375,8 +383,13 @@ def test_leave_one_out_validation(small_instance):
         leave_one_out_trajectories(small_instance, [], eta=0.1, max_iters=2)
     with pytest.raises(IndexError):
         leave_one_out_trajectories(small_instance, [small_instance.dims.m], eta=0.1, max_iters=2)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"held-out index -1 outside \[0, 24\)"):
         leave_one_out_trajectories(small_instance, [-1], eta=0.1, max_iters=2)
+    for l in (True, 2.0):
+        with pytest.raises(ValueError, match="held-out index must be an integer"):
+            leave_one_out_trajectories(small_instance, [0, l], eta=0.1, max_iters=2)
+    res = leave_one_out_trajectories(small_instance, [np.int64(3)], eta=0.1, max_iters=2)
+    assert res["per_l"].shape == (3, 1)
     blind = dataclasses.replace(small_instance, truth=None)
     with pytest.raises(ValueError):
         leave_one_out_trajectories(blind, [0], eta=0.1, max_iters=2)
