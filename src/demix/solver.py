@@ -176,6 +176,15 @@ def _record(t, loss_t, state, truth, align, P, QD, prev_alpha) -> TrajectoryReco
     )
 
 
+def _check_held_out(l, m: int) -> None:
+    """Refuse a held-out index that is not an integer (ValueError; a bool is
+    not one, a numpy integer is) or lies outside [0, m) (IndexError)."""
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+        raise ValueError(f"held-out index must be an integer, got {l!r}")
+    if not 0 <= l < m:
+        raise IndexError(f"held-out index {l} outside [0, {m})")
+
+
 def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None):
     """Algorithm loop: spectral init, then max_iters scaled gradient steps.
 
@@ -198,10 +207,7 @@ def run(inst: ProblemInstance, cfg: SolverConfig, on_iterate=None, held_out=None
     if held_out is None:
         state = spectral_init(inst)
     else:
-        if isinstance(held_out, bool) or not isinstance(held_out, (int, np.integer)):
-            raise ValueError(f"held-out index must be an integer, got {held_out!r}")
-        if not 0 <= held_out < inst.dims.m:
-            raise IndexError(f"held-out index {held_out} outside [0, {inst.dims.m})")
+        _check_held_out(held_out, inst.dims.m)
         y = inst.y.copy()
         y[held_out] = 0
         state = spectral_init(replace(inst, y=y))

@@ -11,6 +11,7 @@ CHECKS is the table of verify_* experiments that `demix verify` runs.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from . import _rng, metrics
 from .objective import DemixState, _gradient_full, _source_curvatures
 from .problem import Dimensions, ProblemInstance, forward_parts, make_dft_rows, make_instance
 from .problem import sample_design, sample_ground_truth, synthesize_measurements
-from .solver import SolverConfig, backprojection_matrices, run
+from .solver import SolverConfig, _check_held_out, backprojection_matrices, run
 
 # Redrawn candidates one check_rsc call may spend over all of its draws.
 _REJECTION_BUDGET = 10_000
@@ -86,13 +87,15 @@ def _gauge_free_minimum(h, x, M, beta) -> float:
 def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int) -> RscReport:
     """The clean-curvature quadratic form's exact minimum over sampled points.
 
-    Points z are drawn per source in the l2 ball of radius delta/(kappa
-    sqrt(s)) around the truth and redrawn until both incoherence side
-    conditions hold: max_j |a_ij^*(x_i - x'_i)| <= 2 c_a ||x'_i|| /
-    (sqrt(s) log^{3/2} m) and max_j |b_j^* h_i| <= 2 c_b mu log^2(m)
-    ||h'_i|| / sqrt(m), with c_a = _C_A and c_b = _C_B. Redraws come from
-    one budget of _REJECTION_BUDGET draws. After the points, each point
-    draws per-source scalars beta_{i1} (on dh), beta_{i2} (on dx) uniformly
+    Each point starts as a copy of the truth. Per point, per source, h_i and
+    then x_i are drawn uniformly in the l2 ball of radius delta/(kappa
+    sqrt(s)) around the truth's vector, each redrawn until its own side
+    condition holds: max_j |b_j^* h_i| <= 2 c_b mu log^2(m) ||h'_i|| /
+    sqrt(m), max_j |a_ij^*(x_i - x'_i)| <= 2 c_a ||x'_i|| / (sqrt(s)
+    log^{3/2} m), with c_a = _C_A and c_b = _C_B. All redraws come from one
+    budget of _REJECTION_BUDGET; once it is spent, a rejected draw is kept
+    and counted as a sampling failure. After the points, each point draws
+    per-source scalars beta_{i1} (on dh), beta_{i2} (on dx) uniformly
     within delta/(kappa sqrt(s)) of 1/kappa; its ratio is the smallest
     _gauge_free_minimum over its sources.
     """
@@ -116,42 +119,23 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
     gen = _rng.stream(rng_seed, _rng.TAG_AUX)
     failures = 0
     spare = _REJECTION_BUDGET
-
-    def incoherent_h(i, v):
-        # |b_j^* v| over j, off the unitary inverse DFT as forward_parts forms P
-        return np.max(np.abs(np.fft.ifft(v, n=m, norm="ortho"))) <= lim_h[i]
-
-    def incoherent_x(i, v):
-        return np.max(np.abs(inst.A[i] @ np.conj(v - truth.x[i]))) <= lim_x[i]
-
-    def sample_near(i, center, incoherent):
-        """Uniform draw in the l2 ball of radius rho around center, redrawn
-        from the budget until incoherent(i, v); with the budget spent, a
-        rejected draw is kept as a sampling failure."""
-        nonlocal spare, failures
-        v = center
+    points = [DemixState(h=truth.h.copy(), x=truth.x.copy()) for _ in range(n_points)]
+    for z, i, on_h in itertools.product(points, range(s), (True, False)):
+        v, center = (z.h[i], truth.h[i]) if on_h else (z.x[i], truth.x[i])
         while True:
-            d = _rng.complex_standard_normal(gen, center.shape)
+            d = _rng.complex_standard_normal(gen, (K,))
             nd = np.linalg.norm(d)
             if nd > 0:
-                r = rho * gen.random() ** (1.0 / (2 * center.size))
-                v = center + (r / nd) * d
-                if incoherent(i, v):
-                    return v
+                v[:] = center + (rho * gen.random() ** (1.0 / (2 * K)) / nd) * d
+                # |b_j^* v| over j, off the unitary inverse DFT as forward_parts forms P
+                if on_h and np.max(np.abs(np.fft.ifft(v, n=m, norm="ortho"))) <= lim_h[i]:
+                    break
+                if not on_h and np.max(np.abs(inst.A[i] @ np.conj(v - center))) <= lim_x[i]:
+                    break
             if spare == 0:
                 failures += 1
-                return v
+                break
             spare -= 1
-
-    def sample_state():
-        h = np.empty((s, K), dtype=complex)
-        x = np.empty((s, K), dtype=complex)
-        for i in range(s):
-            h[i] = sample_near(i, truth.h[i], incoherent_h)
-            x[i] = sample_near(i, truth.x[i], incoherent_x)
-        return DemixState(h=h, x=x)
-
-    points = [sample_state() for _ in range(n_points)]
     lo = max(1.0 / kappa - rho, 1e-3 / kappa)
     hi = 1.0 / kappa + rho
     betas = lo + (hi - lo) * gen.random((n_points, s, 2))
@@ -229,10 +213,7 @@ def leave_one_out_trajectories(inst: ProblemInstance, l_set, *, eta=SolverConfig
         raise ValueError(f"leave-one-out needs m >= 2, got m={m}: a held-out run has "
                          "no measurement left to fit")
     for l in l_set:
-        if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-            raise ValueError(f"held-out index must be an integer, got {l!r}")
-        if not 0 <= l < m:
-            raise IndexError(f"held-out index {l} outside [0, {m})")
+        _check_held_out(l, m)
 
     T = max_iters
     cfg = SolverConfig(eta=eta, max_iters=T, record_every=T)

@@ -193,6 +193,73 @@ def population_hessian(truth) -> np.ndarray:
     return H
 
 
+# ------------------------------------------------------ check_rsc's points
+
+
+def rsc_points(inst, n_points, delta, seed, *, budget=10_000, c_a=6.0, c_b=1.0):
+    """check_rsc's sampled points, weights and failure count, from its docstring.
+
+    Points come first, then weights. Per point, per source, h_i is drawn and
+    then x_i, each a uniform draw in the l2 ball of radius rho = delta /
+    (kappa sqrt(s)) around the truth's vector: d ~ CN(0, I_K), then one
+    uniform u, and the candidate is center + rho u^(1/(2K)) d / ||d||. A zero
+    d draws no u and keeps the previous candidate. A candidate that breaks
+    its own side condition is redrawn, all points sharing `budget` redraws;
+    with none left it is kept and counted as a failure. The side conditions
+    are max_j |b_j^* h_i| <= 2 c_b mu log^2(m) ||h'_i|| / sqrt(m) and
+    max_j |a_ij^* (x_i - x'_i)| <= 2 c_a ||x'_i|| / (sqrt(s) log^{3/2} m),
+    with mu the smallest such that |b_j^* h'_i| <= mu ||h'_i|| / sqrt(m).
+    Then the (n_points, s, 2) weights are uniform on [max(1/kappa - rho,
+    1e-3/kappa), 1/kappa + rho). Draws come from the Philox stream keyed by
+    (seed, 4). Returns ([(h, x)] per point, weights, failures).
+    """
+    truth = inst.truth
+    s, K = truth.h.shape
+    m = inst.dims.m
+    Bh = np.conj(inst.B)  # row j is b_j^*
+    nh = np.linalg.norm(truth.h, axis=1)
+    nx = np.linalg.norm(truth.x, axis=1)
+    mu = np.sqrt(m) * max(np.max(np.abs(Bh @ truth.h[i])) / nh[i] for i in range(s))
+    lim_h = 2 * c_b * mu * np.log(m) ** 2 / np.sqrt(m) * nh
+    lim_x = 2 * c_a / (np.sqrt(s) * np.log(m) ** 1.5) * nx
+    kappa = truth.kappa
+    rho = delta / (kappa * np.sqrt(s))
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 4], dtype=np.uint64)))
+    failures = 0
+    points = []
+    for _ in range(n_points):
+        h = truth.h.copy()
+        x = truth.x.copy()
+        for i in range(s):
+            for side in ("h", "x"):
+                center = truth.h[i] if side == "h" else truth.x[i]
+                v = center
+                while True:
+                    d = complex_standard_normal(gen, (K,))
+                    nd = np.linalg.norm(d)
+                    if nd > 0:
+                        r = rho * gen.random() ** (1.0 / (2 * K))
+                        v = center + (r / nd) * d
+                        if side == "h":
+                            ok = np.max(np.abs(Bh @ v)) <= lim_h[i]
+                        else:
+                            ok = np.max(np.abs(np.conj(inst.A[i]) @ (v - center))) <= lim_x[i]
+                        if ok:
+                            break
+                    if budget == 0:
+                        failures += 1
+                        break
+                    budget -= 1
+                if side == "h":
+                    h[i] = v
+                else:
+                    x[i] = v
+        points.append((h, x))
+    lo = max(1.0 / kappa - rho, 1e-3 / kappa)
+    hi = 1.0 / kappa + rho
+    return points, lo + (hi - lo) * gen.random((n_points, s, 2)), failures
+
+
 # ------------------------------------------------------- finite differences
 
 

@@ -213,6 +213,19 @@ def test_hessian_clean_coupling_vanishes_at_truth(small_instance):
             assert np.linalg.norm(M @ v) <= 1e-12 * np.abs(M).max() * np.linalg.norm(v)
 
 
+def test_scaled_curvature_at_the_truth_does_not_depend_on_kappa():
+    # criterion 03's cause: at the truth the eigenvalues of M_i / d_i are the
+    # same at kappa = 1, 2 and 3, so per-source scaled steps contract at one
+    # local rate whatever the condition number, and kappa moves only the start
+    eigs = []
+    for kappa in (1.0, 2.0, 3.0):
+        inst = make_instance(Dimensions(s=2, m=200, K=8), kappa=kappa, sigma=0.0, seed=4)
+        truth = inst.truth
+        st = DemixState(h=truth.h.copy(), x=truth.x.copy())
+        eigs.append([np.linalg.eigvalsh(M) / d for M, d in zip(_curvatures(st, inst), truth.d)])
+    assert np.max(np.abs(np.array(eigs) - eigs[0])) <= 1e-13
+
+
 def test_hessian_quadratic_form_matches_second_differences():
     # the central second difference along a single-source direction is 2 v^T M_i v
     gen = np.random.default_rng(23)

@@ -38,6 +38,7 @@ from oracles import (
     population_hessian,
     real_to_wirtinger,
     reference_descent,
+    rsc_points,
 )
 
 
@@ -76,6 +77,18 @@ def test_population_hessian_spectrum(s):
     gaps = np.min(np.abs(eig[:, None] - np.array([0.0, 1.0, 2.0])), axis=1)
     assert gaps.max() <= 1e-9
     assert np.max(np.abs(eig)) == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_population_hessian_norm_is_two_at_criterion_08_truths(s):
+    # criterion 08's cause: at its truths each source adds a block with
+    # eigenvalues 0 (twice), 1 (4K - 4 times) and 2 (twice), so the norm is 2
+    # for every s and the asserted 1 + s holds at s = 1 only
+    truth = sample_ground_truth(Dimensions(s=s, m=3, K=3), 1.0, s + 10)
+    eig = np.linalg.eigvalsh(population_hessian(truth))
+    gaps = np.abs(eig[:, None] - np.array([0.0, 1.0, 2.0]))
+    assert gaps.min(axis=1).max() <= 1e-12
+    assert np.bincount(gaps.argmin(axis=1), minlength=3).tolist() == [2 * s, 8 * s, 2 * s]
 
 
 def test_population_hessian_rejects_unbalanced_sources():
@@ -212,11 +225,41 @@ def test_check_rsc_draws_are_bounded_by_one_budget(monkeypatch):
     assert rep.passed is False
 
 
+@pytest.mark.parametrize(
+    "dims, n_points, delta, seed, budget, c_a, failures",
+    [(Dimensions(s=1, m=100, K=3), 4, 0.3, 3, 40, 2.0, 3),
+     (Dimensions(s=2, m=400, K=6), 2, 1.0, 1, verify._REJECTION_BUDGET, verify._C_A, 4)],
+    ids=["tight-budget", "wide-ball"],
+)
+def test_check_rsc_draws_its_points_in_the_documented_order(
+    monkeypatch, dims, n_points, delta, seed, budget, c_a, failures
+):
+    # the points and weights check_rsc measures are, bit for bit, the
+    # oracle's draws from its docstring, at settings that spend the budget
+    monkeypatch.setattr(verify, "_REJECTION_BUDGET", budget)
+    monkeypatch.setattr(verify, "_C_A", c_a)
+    inst = make_instance(dims, kappa=1.0, sigma=0.05, seed=seed)
+    seen, weights = [], []
+    curvatures, gauge_free_minimum = verify._source_curvatures, verify._gauge_free_minimum
+    monkeypatch.setattr(verify, "_source_curvatures",
+                        lambda z, *a: seen.append(z) or curvatures(z, *a))
+    monkeypatch.setattr(verify, "_gauge_free_minimum",
+                        lambda *a: weights.append(a[3]) or gauge_free_minimum(*a))
+    rep = check_rsc(inst, n_points, delta, seed)
+    points, betas, want_failures = rsc_points(inst, n_points, delta, seed, budget=budget, c_a=c_a)
+    assert rep.sampling_failures == want_failures == failures
+    assert len(seen) == n_points
+    for z, (h, x) in zip(seen, points):
+        np.testing.assert_array_equal(z.h, h)
+        np.testing.assert_array_equal(z.x, x)
+    np.testing.assert_array_equal(np.array(weights), betas.reshape(-1, 2))
+
+
 def test_check_rsc_memory_is_a_few_source_designs():
     # the working set is one source's (m, 2K) Jacobian and (4K, 4K)
     # curvature beside the (m, s) forward parts, so the peak stays a few of
-    # one source's design bytes as s grows (measured 3.11x at s = 1 and
-    # 3.88x at s = 4); one Jacobian per source would take s = 4 past 8x
+    # one source's design bytes as s grows (measured 3.24x at s = 1 and
+    # 4.39x at s = 4); one Jacobian per source would take s = 4 past 8x
     m, K = 6400, 8
     peaks = []
     for s in (1, 4):
