@@ -30,6 +30,9 @@ _READS = dict.fromkeys(("convergence", "condition_number", "noise_sweep", "incoh
                        asdict(SolverConfig()))
 _READS.update((name, dict(check.__kwdefaults__)) for name, check in verify.CHECKS.items())
 EXPERIMENTS = tuple(_READS)
+# What fails one job, not the command: the job prints an error line and exit code
+# 1 follows, while the other jobs still run and write their artifacts.
+_JOB_ERRORS = (DivergenceError, DegenerateIterateError, ValueError, MemoryError)
 # verify_* experiments that need m >= 2, and why
 _NEEDS_TWO = {"verify_rsc": "check_rsc's side conditions divide by log m",
               "verify_loo": "a held-out run has no measurement left to fit"}
@@ -120,8 +123,8 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     unknown = set(raw) - _ALLOWED_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    version = raw.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    version = _number("schema_version", raw.get("schema_version"), int)
+    if version != SCHEMA_VERSION:
         raise UsageError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -256,7 +259,7 @@ def _solve_job(scfg: SolverConfig, outdir: Path, dims, kappa, sigma, seed) -> di
         msg = f"diverged at iteration {ex.iteration}"
         write_trajectory_csv(path, ex.records, f"{ex.iteration},{_fmt(ex.loss_value)},,,,,,{msg}")
         res.update(status="[diverged]", iters=ex.iteration)
-    except (DegenerateIterateError, ValueError) as ex:
+    except _JOB_ERRORS as ex:
         error_line = ',,,,,,,"' + str(ex).replace('"', '""') + '"'
         write_trajectory_csv(path, getattr(ex, "records", []), error_line)
         res.update(status="[failed]", error=str(ex))
@@ -269,12 +272,17 @@ def _solve_job(scfg: SolverConfig, outdir: Path, dims, kappa, sigma, seed) -> di
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
     outdir = _outdir(cfg)
+    failed = []
     for dims, kappa, sigma, seed in _combos(cfg):
-        inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
         path = outdir / f"instance_{_stem(dims, kappa, sigma, seed)}.bin"
-        save_instance(inst, path)
-        print(f"wrote {path}")
-    return 0
+        try:
+            save_instance(make_instance(dims, kappa=kappa, sigma=sigma, seed=seed), path)
+        except _JOB_ERRORS as ex:
+            failed.append({"ok": False, "path": path, "seed": seed, "status": None,
+                           "error": str(ex)})
+        else:
+            print(f"wrote {path}")
+    return _finish(failed)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -321,7 +329,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         path = outdir / f"report_{cfg.experiment}_seed{seed}.json"
         try:
             report = verify.run_check(cfg.experiment, *setting, seed, **cfg.settings)
-        except (DivergenceError, DegenerateIterateError, ValueError) as ex:
+        except _JOB_ERRORS as ex:
             return {"ok": False, "path": path, "seed": seed, "status": None, "error": str(ex)}
         verify.write_report(report, path)
         ok = report["pass"]

@@ -31,7 +31,6 @@ _MAGIC = b"DEMIX01\n"
 _VERSION = 2
 _FLAG_TRUTH = 1
 _FLAG_NOISE = 2
-_MASK64 = (1 << 64) - 1
 # The container header: magic, version, flags, s, m, K, sigma, seed and the
 # 16-byte convention tag, which struct pads with zeros.
 _HEADER = struct.Struct("<8sIIIIIdQ16s")
@@ -55,6 +54,16 @@ class InfiniteSNRError(ValueError):
     """Raised when the SNR is requested for a noiseless measurement vector."""
 
 
+def _integer(name: str, v, low=None, error=ValueError) -> int:
+    """v as a plain int. A bool or a non-integer is refused (a numpy integer
+    is not), and so is a value below low; each refusal is error naming name."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {v!r}")
+    if low is not None and v < low:
+        raise error(f"{name} must be >= {low}, got {v}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Problem sizes: s sources, m measurements, subspace dimension K.
@@ -66,13 +75,8 @@ class Dimensions:
     K: int
 
     def __post_init__(self):
-        for name in ("s", "m", "K"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise DimensionError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))  # sizes feed Philox.advance
-        if self.s < 1 or self.K < 1 or self.m < 1:
-            raise DimensionError(f"s, m, K must be positive: {self}")
+        for name in ("s", "m", "K"):  # sizes feed Philox.advance
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1, DimensionError))
         if self.m < self.K:
             raise DimensionError(f"DFT submatrix needs m >= K, got m={self.m}, K={self.K}")
 
@@ -150,7 +154,7 @@ class ProblemInstance:
     truth: GroundTruth | None = None
 
     def __post_init__(self):
-        self.seed = int(self.seed) & _MASK64
+        self.seed = int(self.seed) & _rng._MASK64
         self.A = np.ascontiguousarray(self.A, dtype=complex)
         check_instance(self)
 
@@ -181,7 +185,7 @@ def check_instance(inst: ProblemInstance) -> None:
         raise ValueError(f"sigma must be >= 0, got {inst.sigma}")
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def make_dft_rows(m: int, K: int) -> np.ndarray:
     """Rows b_j of the first K columns of the unitary m-point DFT.
 
@@ -189,10 +193,10 @@ def make_dft_rows(m: int, K: int) -> np.ndarray:
     satisfy sum_j b_j b_j^* = I_K and ||b_j||^2 = K/m. The last (m, K) is
     cached, so every instance of one size holds this same read-only array
     as its B, and forward_parts and combine_rows take their products with
-    it by FFT.
+    it by FFT. m and K are checked as Dimensions' sizes are; the cache is
+    typed, so a bool is never taken for its cached integer.
     """
-    if m < K:
-        raise DimensionError(f"m >= K required, got m={m}, K={K}")
+    Dimensions(s=1, m=m, K=K)
     j = np.arange(m)[:, None]
     k = np.arange(K)[None, :]
     B = np.exp(-2j * np.pi * (j * k) / m) / np.sqrt(m)
@@ -365,9 +369,8 @@ def save_instance(inst: ProblemInstance, path) -> None:
     if t is not None:
         arrays.update(h=t.h, x=t.x)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(
-            _MAGIC, _VERSION, flags, s, m, K, inst.sigma, inst.seed & _MASK64, CONVENTION.encode()
-        ))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, flags, s, m, K, inst.sigma,
+                              inst.seed & _rng._MASK64, CONVENTION.encode()))
         for name, _ in _layout(flags, s, m, K):
             np.ascontiguousarray(arrays[name], dtype="<c16").tofile(fh)
     with open(Path(path).with_suffix(".json"), "w", encoding="utf-8") as fh:

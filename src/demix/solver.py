@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics
 from .objective import DemixState, _gradient_full
-from .problem import ProblemInstance
+from .problem import ProblemInstance, _integer
 
 _DIVERGENCE_FACTOR = 1e6
 _ZERO_NORM = "a source has zero norm; scaled step undefined"
@@ -52,11 +52,7 @@ class SolverConfig:
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValueError(f"eta must be > 0 and finite, got {self.eta}")
         for name in ("max_iters", "record_every"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+            setattr(self, name, _integer(name, getattr(self, name), 1))
         if not (self.stop_tol >= 0 and np.isfinite(self.stop_tol)):
             raise ValueError(f"stop_tol must be >= 0 and finite, got {self.stop_tol}")
 
@@ -179,9 +175,7 @@ def _record(t, loss_t, state, truth, align, P, QD, prev_alpha) -> TrajectoryReco
 def _check_held_out(l, m: int) -> None:
     """Refuse a held-out index that is not an integer (ValueError; a bool is
     not one, a numpy integer is) or lies outside [0, m) (IndexError)."""
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-        raise ValueError(f"held-out index must be an integer, got {l!r}")
-    if not 0 <= l < m:
+    if not 0 <= _integer("held-out index", l) < m:
         raise IndexError(f"held-out index {l} outside [0, {m})")
 
 

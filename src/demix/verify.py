@@ -21,8 +21,8 @@ import numpy as np
 from . import _rng, metrics
 # _gradient_full is not called here; perfbench asserts that tracing rewraps it here too
 from .objective import DemixState, _gradient_full, _source_curvatures
-from .problem import Dimensions, ProblemInstance, forward_parts, make_dft_rows, make_instance
-from .problem import sample_design, sample_ground_truth, synthesize_measurements
+from .problem import Dimensions, ProblemInstance, _integer, forward_parts, make_dft_rows
+from .problem import make_instance, sample_design, sample_ground_truth, synthesize_measurements
 from .solver import SolverConfig, _check_held_out, backprojection_matrices, run
 
 # Redrawn candidates one check_rsc call may spend over all of its draws.
@@ -102,11 +102,9 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
     truth = inst.truth
     if truth is None:
         raise ValueError("check_rsc requires an instance with ground truth")
-    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 1 or not delta > 0:
-        raise ValueError(f"check_rsc needs n_points >= 1 and delta > 0, got "
-                         f"{n_points} and {delta}")
+    n_points = _integer("n_points", n_points, 1)
+    if not 0 < delta < math.inf:
+        raise ValueError(f"check_rsc needs a finite delta > 0, got {delta}")
     m = inst.dims.m
     if m < 2:
         raise ValueError(f"check_rsc needs m >= 2, got m={m}: its side conditions divide by log m")
@@ -169,10 +167,7 @@ def spectral_concentration(
     (and noise) from a derived seed, forms its back-projections M_i and keeps
     only their deviations, so memory does not grow with n_trials.
     """
-    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)):
-        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    n_trials = _integer("n_trials", n_trials, 1)
     truth = sample_ground_truth(dims, kappa, rng_seed)
     B = make_dft_rows(dims.m, dims.K)
     expected = truth.h[:, :, None] * np.conj(truth.x)[:, None, :]
@@ -276,6 +271,7 @@ def _loo(dims, kappa, sigma, seed, *, l_set=(), n_holdout=8, loo_factor=0.1,
     from the seed, for runs of max_iters steps of size eta; passes when it
     stays below loo_factor times the initial distance to the truth.
     """
+    n_holdout = _integer("n_holdout", n_holdout, 1)
     inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
     if not l_set:
         gen = _rng.stream(seed, _rng.TAG_AUX)
@@ -292,7 +288,8 @@ def _loo(dims, kappa, sigma, seed, *, l_set=(), n_holdout=8, loo_factor=0.1,
 
 def _spectral(dims, kappa, sigma, seed, *, m_sweep=(400, 1600, 6400), n_trials=200):
     """Back-projection spread at each m of m_sweep (dims.m is not used);
-    passes when the mean deviation falls strictly as m grows.
+    passes when the mean deviation falls strictly as m grows, which takes at
+    least two entries.
     """
     table = []
     for m in m_sweep:
@@ -300,7 +297,7 @@ def _spectral(dims, kappa, sigma, seed, *, m_sweep=(400, 1600, 6400), n_trials=2
         table.append({"m": m, "mean_deviation": float(devs.mean()),
                       "max_deviation": float(devs.max())})
     means = [row["mean_deviation"] for row in table]
-    passed = all(b < a for a, b in zip(means, means[1:]))
+    passed = len(means) > 1 and all(b < a for a, b in zip(means, means[1:]))
     params = {"dims": {"s": dims.s, "K": dims.K}, "m_sweep": m_sweep, "n_trials": n_trials}
     return params, {"table": table}, passed
 

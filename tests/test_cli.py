@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from demix import solver, verify
+from demix import cli, solver, verify
 from demix.cli import _READS, CSV_HEADER, SUMMARY_HEADER, load_config, main
 from demix.metrics import align_source
 from demix.problem import Dimensions, load_instance, make_instance
@@ -351,6 +351,28 @@ def test_generate_round_trips_bit_exact(tmp_path):
     assert meta["K"] == 4 and meta["sigma"] == 0.2 and meta["seed"] == 5
 
 
+def test_generate_finishes_after_a_failing_seed(tmp_path, monkeypatch, capsys):
+    # an instance that cannot be made (at kappa 1e200, y overflows) fails its
+    # own job: one error line and no file for it, and the other seeds are written
+    make = cli.make_instance
+
+    def fails_at_seed_2(dims, *, seed, **kw):
+        if seed == 2:
+            raise ValueError("y must be finite")
+        return make(dims, seed=seed, **kw)
+
+    monkeypatch.setattr(cli, "make_instance", fails_at_seed_2)
+    cfg = write_config(tmp_path, seeds=[1, 2, 3])
+    assert main(["generate", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    stem = "instance_K4_s1_m64_kappa1_sigma0_seed{}"
+    assert err == f"error: seed 2 ({stem.format(2)}.bin): y must be finite\n"
+    assert out == "".join(f"wrote {tmp_path / 'out' / stem.format(s)}.bin\n" for s in (1, 3))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        f"{stem.format(s)}{ext}" for s in (1, 3) for ext in (".bin", ".json")
+    ]
+
+
 # ----------------------------------------------------------------- sweep
 
 
@@ -408,6 +430,31 @@ def test_sweep_finishes_after_a_failing_seed(tmp_path, monkeypatch, capsys):
     assert len(summary) == 3 and summary[1].split(",")[6] == "1" and summary[1].endswith(",,")
     clean_summary = (ref / "summary_convergence.csv").read_text(encoding="utf-8").splitlines()
     assert summary[2] == clean_summary[2]
+
+
+def test_sweep_finishes_after_a_memory_error(tmp_path, monkeypatch, capsys):
+    # an instance too large to allocate fails its own job: its summary row
+    # keeps the setting, leaves the result cells blank, and the summary is written
+    make = cli.make_instance
+    message = "Unable to allocate 7.28 TiB for an array with shape (10, 1000000000, 50)"
+
+    def too_large_at_seed_1(dims, *, seed, **kw):
+        if seed == 1:
+            raise MemoryError(message)
+        return make(dims, seed=seed, **kw)
+
+    monkeypatch.setattr(cli, "make_instance", too_large_at_seed_1)
+    cfg = write_config(tmp_path, seeds=[1, 2], max_iters=30)
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: seed 1 (trajectory_K4_s1_m64_kappa1_sigma0_seed1.csv): {message}\n"
+    assert out.splitlines()[-1] == f"wrote {tmp_path / 'out' / 'summary_convergence.csv'}"
+    failed = tmp_path / "out" / "trajectory_K4_s1_m64_kappa1_sigma0_seed1.csv"
+    assert failed.read_text(encoding="utf-8").splitlines() == [CSV_HEADER, f',,,,,,,"{message}"']
+    summary = (tmp_path / "out" / "summary_convergence.csv").read_text(encoding="utf-8")
+    rows = summary.splitlines()
+    assert rows[1] == "4,1,64,0.2,1.0,0.0,1,,,"
+    assert rows[2].split(",")[6] == "2" and float(rows[2].split(",")[8]) >= 0
 
 
 def test_sweep_leaves_snr_blank_when_the_noise_rounds_away(tmp_path):
@@ -491,6 +538,23 @@ def test_verify_job_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["report_verify_rsc_seed4.json"]
 
 
+def test_verify_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
+    rsc = verify.CHECKS["verify_rsc"]
+
+    def too_large_at_seed_3(dims, kappa, sigma, seed, **settings):
+        if seed == 3:
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return rsc(dims, kappa, sigma, seed, **settings)
+
+    monkeypatch.setitem(verify.CHECKS, "verify_rsc", too_large_at_seed_3)
+    cfg = write_config(tmp_path, experiment="verify_rsc", dims={"s": 1, "m": 400, "K": 4},
+                       n_points=2, seeds=[3, 4])
+    assert main(["verify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed 3 (report_verify_rsc_seed3.json): Unable to allocate 7.28 TiB\n"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report_verify_rsc_seed4.json"]
+
+
 def test_verify_loo_divergence_is_an_error_line(tmp_path, capsys):
     cfg = write_config(
         tmp_path, experiment="verify_loo", dims={"s": 2, "m": 6, "K": 6},
@@ -555,6 +619,20 @@ def test_verify_spectral_report(tmp_path):
     assert all(set(row) == {"m", "mean_deviation", "max_deviation"} for row in table)
     assert [row["m"] for row in table] == [64, 256]
     assert table[1]["mean_deviation"] < table[0]["mean_deviation"]
+
+
+def test_verify_spectral_fails_on_a_single_m(tmp_path):
+    # the check asks the mean deviation to fall as m grows, which one m cannot show
+    cfg = write_config(
+        tmp_path, experiment="verify_spectral", dims={"s": 1, "m": 64, "K": 4},
+        m_sweep=[64], n_trials=4, seeds=[3],
+    )
+    assert main(["verify", "--config", str(cfg)]) == 1
+    report = json.loads(
+        (tmp_path / "out" / "report_verify_spectral_seed3.json").read_text(encoding="utf-8")
+    )
+    assert report["pass"] is False
+    assert [row["m"] for row in report["metrics"]["table"]] == [64]
 
 
 def test_verify_spectral_draws_its_truth_at_the_config_kappa(tmp_path):

@@ -56,6 +56,27 @@ def test_every_imported_name_is_used():
     assert sorted(set(unused) - UNUSED_IMPORTS_KEPT) == []
 
 
+# The functions that may test for a bool: problem._integer, the library's rule
+# for a count, and cli._number, the config's rule for a number, which takes an
+# integer key written as 3.0 where the library refuses that value.
+BOOL_TESTS = {("problem", "_integer"), ("cli", "_number")}
+
+
+def test_only_the_count_and_number_rules_test_for_a_bool():
+    stray = []
+    for path in sorted(Path(demix.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                   and (path.stem, f.name) in BOOL_TESTS for n in ast.walk(f)}
+        stray += [
+            f"{path.stem}.py:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+            and any(getattr(a, "id", None) == "bool" for a in ast.walk(n.args[-1]))
+            and id(n) not in allowed
+        ]
+    assert stray == []
+
+
 def test_readme_references_resolve():
     # a dotted name under demix (`problem.forward_parts`, `demix.verify.CHECKS`)
     # and a `test_*.py::name` reference must each name something that exists

@@ -462,6 +462,11 @@ def _version_one(tmp_path, inst):
          "s must be an integer, got 2.5"),
         (lambda inst, tmp: Dimensions(s=2, m=24, K=True), DimensionError,
          "K must be an integer, got True"),
+        (lambda inst, tmp: make_dft_rows(2.5, 1), DimensionError,
+         "m must be an integer, got 2.5"),
+        # the cached (1, 1) must not answer for (True, 1)
+        (lambda inst, tmp: [make_dft_rows(1, 1), make_dft_rows(True, 1)], DimensionError,
+         "m must be an integer, got True"),
         (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A, -0.1, 1),
          ValueError, "sigma must be >= 0"),
         (lambda inst, tmp: synthesize_measurements(inst.truth, inst.A[:, :, :3], 0.0, 1),
@@ -480,7 +485,8 @@ def _version_one(tmp_path, inst):
     ],
     ids=["check_instance_B", "check_instance_e", "check_instance_truth", "check_instance_sigma_nan",
          "check_instance_sigma_negative", "check_instance_y_nan", "check_instance_e_inf",
-         "truth_h_nan", "truth_x_inf", "dims_float", "dims_fraction", "dims_bool", "synthesize_sigma", "synthesize_K", "synthesize_s",
+         "truth_h_nan", "truth_x_inf", "dims_float", "dims_fraction", "dims_bool",
+         "dft_rows_fraction", "dft_rows_bool", "synthesize_sigma", "synthesize_K", "synthesize_s",
          "synthesize_sigma_nan", "synthesize_sigma_inf", "load_version", "stream_tag_256",
          "stream_tag_neg"],
 )

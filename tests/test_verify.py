@@ -286,10 +286,11 @@ def test_check_rsc_input_validation(small_instance):
         check_rsc(blind, n_points=2, delta=0.1, rng_seed=1)
 
 
-@pytest.mark.parametrize("delta", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
 def test_check_rsc_rejects_a_radius_that_is_not_positive(small_instance, delta):
-    # delta = 0 would spend the whole draw budget on an empty ball, and a
-    # negative delta would draw with a negative radius
+    # delta = 0 would spend the whole draw budget on an empty ball, a
+    # negative delta would draw with a negative radius, and an infinite one
+    # would draw points at infinity
     with pytest.raises(ValueError, match="delta > 0"):
         check_rsc(small_instance, n_points=2, delta=delta, rng_seed=1)
 
@@ -433,6 +434,9 @@ def test_leave_one_out_validation(small_instance):
             leave_one_out_trajectories(small_instance, [0, l], eta=0.1, max_iters=2)
     res = leave_one_out_trajectories(small_instance, [np.int64(3)], eta=0.1, max_iters=2)
     assert res["per_l"].shape == (3, 1)
+    for n_holdout in (2.5, True):
+        with pytest.raises(ValueError, match="n_holdout must be an integer"):
+            run_check("verify_loo", small_instance.dims, 1.0, 0.0, 1, n_holdout=n_holdout)
     blind = dataclasses.replace(small_instance, truth=None)
     with pytest.raises(ValueError):
         leave_one_out_trajectories(blind, [0], eta=0.1, max_iters=2)
