@@ -106,10 +106,13 @@ class GroundTruth(DemixState):
     A DemixState, so h and x are (s, K) complex arrays of one shape, checked
     as an iterate's are; they are the only arguments. d[i] = ||h_i||^2 +
     ||x_i||^2, d0 = sqrt(sum_i ||h_i||^2 ||x_i||^2) and
-    kappa = max_i ||x_i|| / min_i ||x_i|| are set from them, and a source with
-    a non-finite entry, ||h_i|| = 0 or ||x_i|| = 0 is a ValueError naming it.
+    kappa = max_i ||x_i|| / min_i ||x_i|| are set from them. A source with
+    a non-finite entry, ||h_i|| = 0 or ||x_i|| = 0, or whose d_i or share
+    of d0 overflows, is a ValueError naming it, and numpy does not warn.
     The incoherence mu also depends on m, so it is not stored here:
-    metrics.incoherence_mu(truth, m) gives it.
+    metrics.incoherence_mu(truth, m) gives it. products, the relative
+    error's reference terms, is derived on first use, as
+    ProblemInstance.B is.
     """
 
     d: np.ndarray = field(init=False)
@@ -118,8 +121,12 @@ class GroundTruth(DemixState):
 
     def __post_init__(self):
         super().__post_init__()
-        hn2 = np.sum(np.abs(self.h) ** 2, axis=1)
-        xn2 = np.sum(np.abs(self.x) ** 2, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by source
+            hn2 = np.sum(np.abs(self.h) ** 2, axis=1)
+            xn2 = np.sum(np.abs(self.x) ** 2, axis=1)
+            terms = hn2 * xn2
+            self.d = hn2 + xn2
+            self.d0 = float(np.sqrt(np.sum(terms)))
         for name, v, n2 in (("h", self.h, hn2), ("x", self.x, xn2)):
             bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
             if bad.size:
@@ -128,10 +135,26 @@ class GroundTruth(DemixState):
             if zero.size:
                 raise ValueError(f"truth source {zero[0]} has ||{name}_{zero[0]}|| = 0: "
                                  "d, d0 and kappa need every ||h_i||, ||x_i|| > 0")
+        bad = np.flatnonzero(~np.isfinite(self.d))
+        if bad.size:
+            raise ValueError(f"truth source {bad[0]} is too large: "
+                             f"d_{bad[0]} = ||h_{bad[0]}||^2 + ||x_{bad[0]}||^2 overflows")
+        if not np.isfinite(self.d0):
+            i = int(np.argmax(terms))  # the first overflowing term, else the largest
+            raise ValueError(f"truth source {i} is too large: d0 = sqrt(sum_i ||h_i||^2 "
+                             f"||x_i||^2) overflows at ||h_{i}||^2 ||x_{i}||^2")
         xn = np.sqrt(xn2)
-        self.d = hn2 + xn2
-        self.d0 = float(np.sqrt(np.sum(hn2 * xn2)))
         self.kappa = float(xn.max() / xn.min())
+
+    @functools.cached_property
+    def products(self):
+        """(outer, scale): the (s, K, K) products h_i x_i^* and
+        scale = sum_i ||h_i|| ||x_i||, the reference terms and denominator of
+        metrics.relative_error, formed once per truth. 16 s K^2 bytes."""
+        outer = self.h[:, :, None] * np.conj(self.x)[:, None, :]
+        outer.flags.writeable = False
+        scale = np.sum(np.linalg.norm(self.h, axis=1) * np.linalg.norm(self.x, axis=1))
+        return outer, scale
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,22 @@ def test_generate_finishes_after_a_failing_seed(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         f"{stem.format(s)}{ext}" for s in (1, 3) for ext in (".bin", ".json")
     ]
+
+
+def test_generate_refuses_a_huge_kappa_in_one_line(tmp_path, capsys):
+    # at kappa 1e200 the truth's scales overflow: its seed fails with one
+    # stderr line and no RuntimeWarning, and the other instance is written
+    cfg = write_config(tmp_path, dims={"s": 2, "m": 64, "K": 4}, kappa=[1.5, 1e200], seeds=[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["generate", "--config", str(cfg)]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    out, err = capsys.readouterr()
+    assert err == (
+        "error: seed 1 (instance_K4_s2_m64_kappa1e+200_sigma0_seed1.bin): "
+        "truth source 1 is too large: d_1 = ||h_1||^2 + ||x_1||^2 overflows\n"
+    )
+    assert out == f"wrote {tmp_path / 'out' / 'instance_K4_s2_m64_kappa1.5_sigma0_seed1'}.bin\n"
 
 
 # ----------------------------------------------------------------- sweep

@@ -1,11 +1,14 @@
 """Alignment solver, distance, relative error, incoherence measures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demix.metrics import (
+    Alignment,
     align_source,
     align_state,
     dist,
@@ -184,6 +187,17 @@ def test_align_matches_high_precision_root():
         assert abs(alpha - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("c", [1e150, 1e200, 1e300])
+def test_align_refuses_an_overflowing_pair_with_linalg_error(c):
+    # the sextic's coefficients overflow, and eigvals refuses them; the
+    # float code before and after it raises no OverflowError or ValueError
+    gen = np.random.default_rng(54)
+    h, x, h_ref, x_ref = _pair(gen)
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            align_source(h * c, x, h_ref, x_ref)
+
+
 def _stacked_cases(seed, K=6):
     # one (s, K) stack of generic, near-truth, p = 0, q = 0 and p = q = 0 rows;
     # disjoint supports make p or q exactly zero
@@ -306,6 +320,28 @@ def test_relative_error_matches_full_matrices(small_instance):
         assert relative_error(st, truth) == pytest.approx(num / den, rel=1e-10)
 
 
+def test_relative_error_follows_its_truth(small_instance):
+    # the truth's products are cached on the truth object: a replaced or
+    # copied truth forms its own, after a call on the original
+    truth = small_instance.truth
+    gen = np.random.default_rng(64)
+    st = DemixState(
+        h=truth.h + 0.3 * gen.standard_normal(truth.h.shape),
+        x=truth.x + 0.3 * gen.standard_normal(truth.x.shape),
+    )
+
+    def dense(ref):
+        num = sum(np.linalg.norm(np.outer(h, np.conj(x)) - np.outer(hr, np.conj(xr)))
+                  for h, x, hr, xr in zip(st.h, st.x, ref.h, ref.x))
+        return num / sum(np.linalg.norm(hr) * np.linalg.norm(xr) for hr, xr in zip(ref.h, ref.x))
+
+    first = relative_error(st, truth)
+    for ref in (dataclasses.replace(truth, h=2 * truth.h), truth.copy(), truth):
+        assert relative_error(st, ref) == pytest.approx(dense(ref), rel=1e-13)
+    assert relative_error(st, truth) == first
+    assert relative_error(st, dataclasses.replace(truth, h=2 * truth.h)) != first
+
+
 def test_dist_matches_per_source_definition(small_instance):
     gen = np.random.default_rng(62)
     truth = small_instance.truth
@@ -396,6 +432,33 @@ def test_incoherence_b_from_forward_map_matches_direct_formula(small_instance):
         for j in range(inst.dims.m)
     )
     assert abs(inc_b - direct) <= 8 * np.finfo(float).eps * direct
+
+
+def _elementwise_incoherence(truth, alpha, P, QD):
+    # the maxima of the elementwise quotients, as the docstring states them
+    xn = np.linalg.norm(truth.x, axis=1)
+    hn = np.abs(alpha) * np.linalg.norm(truth.h, axis=1)
+    return np.max(np.abs(QD) / xn[:, None]), np.max(np.abs(P) / hn[None, :])
+
+
+@pytest.mark.parametrize("case", ["random", "zero_row", "tied_maxima"])
+def test_incoherence_measures_are_the_elementwise_maxima_bit_for_bit(case):
+    gen = np.random.default_rng(66)
+    s, m, K = 3, 40, 5
+    truth = sample_ground_truth(Dimensions(s, m, K), kappa=2.0, rng_seed=7)
+    for _ in range(20):
+        QD = gen.standard_normal((s, m)) + 1j * gen.standard_normal((s, m))
+        P = (gen.standard_normal((s, m)) + 1j * gen.standard_normal((s, m))).T
+        if case == "zero_row":
+            QD[1] = 0
+            P[:, 2] = 0
+        elif case == "tied_maxima":  # every row's maximum taken twice, and shared across rows
+            QD[:, 3] = QD[:, 17] = 9.0 * np.exp(1j * gen.uniform(0, 6.3, s))
+            P[5, :] = P[30, :] = 7.0j
+        alpha = gen.standard_normal(s) + 1j * gen.standard_normal(s)
+        got = incoherence_measures(truth, Alignment(alpha=alpha, error=np.zeros(s)), P, QD)
+        want = _elementwise_incoherence(truth, alpha, P, QD)
+        assert [np.float64(v).tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_incoherence_requires_alignments(small_instance):

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ def test_truth_derived_scales():
     xn2 = np.sum(np.abs(truth.x) ** 2, axis=1)
     assert np.allclose(truth.d, hn2 + xn2, rtol=1e-13)
     assert truth.d0 == pytest.approx(np.sqrt(np.sum(hn2 * xn2)), rel=1e-13)
+
+
+@pytest.mark.parametrize("kappa, what", [(1e100, "d0"), (1e200, "d_1")])
+def test_truth_refuses_scales_that_overflow(kappa, what):
+    # at kappa 1e100, d0 needs kappa^4; at 1e200, ||h_1||^2 itself overflows:
+    # one ValueError naming the source, and numpy does not warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"truth source 1 is too large: {what}"):
+            sample_ground_truth(Dimensions(2, 64, 4), kappa, 1)
 
 
 def test_truth_rejects_kappa_below_one():
