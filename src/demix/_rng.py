@@ -7,13 +7,12 @@ by numpy's Generator.normal implementation.
 
 A draw of n normal pairs takes n uniforms u1, then n uniforms u2, and gives
 r cos(theta) + 1j r sin(theta) with r = sqrt(-2 log(1 - u1)) and theta =
-2 pi u2. _box_muller evaluates that formula in blocks of _BLOCK entries,
-so its working memory beyond the complex output is three block buffers:
-u2 is drawn into the output itself, and u1 is drawn block by block from a
-second Philox generator that starts where the stream does, while the stream
-itself skips past the n u1 draws by Philox.advance. Its values and the
-stream position it leaves are those of the unblocked formula, which
-tests/oracles.py pins.
+2 pi u2. _box_muller evaluates that formula in blocks of _BLOCK entries
+from two block streams: u1 from a second Philox generator that starts where
+the stream does, and u2 from the stream itself, once it has skipped past
+the n u1 draws by Philox.advance. Its working memory beyond the complex
+output is three block buffers, and its values and the stream position it
+leaves are those of the unblocked formula, which tests/oracles.py pins.
 """
 
 import math
@@ -68,11 +67,10 @@ def _skip(bitgen: np.random.Philox, k: int) -> None:
 def _box_muller(gen: np.random.Generator, n: int, scale: float) -> np.ndarray:
     """n complex Box-Muller pairs, each part multiplied by scale.
 
-    u1 comes block by block from g1, a copy of the Philox stream at its
-    start, and gen skips past it; u2 is drawn into the upper half of the
-    output's float64 view. Block [a, b) writes float slots [2a, 2b), which
-    hold u2 entries below b, all read by then, so blocks run from low to
-    high. gen must be Philox, whose advance counts in fours of outputs.
+    Each block draws its u1 from g1, a copy of the Philox stream at its
+    start, and its u2 from gen, which has skipped past the n u1 draws; the
+    output is only written. gen must be Philox, whose advance counts in
+    fours of outputs.
     """
     if not isinstance(gen.bit_generator, np.random.Philox):
         name = type(gen.bit_generator).__name__
@@ -82,19 +80,18 @@ def _box_muller(gen: np.random.Generator, n: int, scale: float) -> np.ndarray:
     g1 = np.random.Generator(np.random.Philox())
     g1.bit_generator.state = gen.bit_generator.state
     _skip(gen.bit_generator, n)
-    u2 = out.view(np.float64)[n:]
-    gen.random(out=u2)
     r_buf, theta_buf, part_buf = np.empty((3, min(n, _BLOCK)))
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         r, theta, part = r_buf[: b - a], theta_buf[: b - a], part_buf[: b - a]
         g1.random(out=r)
+        gen.random(out=theta)
         # u1 is in [0, 1); 1 - u1 is in (0, 1] so the log is finite.
         np.negative(r, r)
         np.log1p(r, r)
         np.multiply(r, -2.0, r)
         np.sqrt(r, r)
-        np.multiply(2.0 * np.pi, u2[a:b], theta)
+        np.multiply(2.0 * np.pi, theta, theta)
         np.cos(theta, part)
         np.multiply(r, part, part)
         np.multiply(part, scale, real[a:b])
@@ -113,9 +110,8 @@ def normal_pairs(gen: np.random.Generator, n: int):
 def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) array: real and imaginary parts each N(0, 1/2).
 
-    Working memory is the output and three block buffers: u1 is drawn block
-    by block from a copy of gen, and gen skips past it by Philox.advance.
-    Values and stream position equal the unblocked formula's.
+    Working memory is the output and three block buffers; values and
+    stream position equal the unblocked formula's.
     """
     return _box_muller(gen, math.prod(shape), _INV_SQRT2).reshape(shape)
 

@@ -162,8 +162,9 @@ def align_source(h, x, h_ref, x_ref):
     phi-minimizer among them is polished by Newton steps on phi'(beta) = 0
     unless |w| = 0 there, where phi is not smooth. The result agrees with a
     50-digit root of phi' to a few ulps. No step of the float code raises
-    on an overflow: a sextic whose coefficients overflow is refused by
-    eigvals, with np.linalg.LinAlgError.
+    on an overflow: a pair whose ||h||^2 or ||x||^2 is not finite is
+    refused up front, and a sextic whose coefficients overflow by eigvals,
+    both with np.linalg.LinAlgError.
     """
     h, x, h_ref, x_ref = (np.asarray(v, dtype=complex) for v in (h, x, h_ref, x_ref))
     shapes = [v.shape for v in (h, x, h_ref, x_ref)]
@@ -172,6 +173,8 @@ def align_source(h, x, h_ref, x_ref):
     nh, nx, p, q = (v.tolist() for v in _phi_terms(*np.atleast_2d(h, x, h_ref, x_ref)))
     if 0.0 in nh or 0.0 in nx:
         raise ValueError("align_source requires nonzero h and x")
+    if not all(map(math.isfinite, nh + nx)):
+        raise np.linalg.LinAlgError("align_source: ||h||^2 or ||x||^2 is not finite")
 
     terms = list(zip(nh, nx, p, q))
     sextics = [_sextic(*v) for v in terms]

@@ -170,7 +170,6 @@ def spectral_concentration(
     n_trials = _integer("n_trials", n_trials, 1)
     truth = sample_ground_truth(dims, kappa, rng_seed)
     B = make_dft_rows(dims.m, dims.K)
-    expected = truth.h[:, :, None] * np.conj(truth.x)[:, None, :]
     devs = np.empty((n_trials, dims.s))
     for t in range(n_trials):
         sk = _rng.derive_seed(rng_seed, t)
@@ -178,7 +177,7 @@ def spectral_concentration(
         y, _ = synthesize_measurements(truth, A, sigma, sk)
         Ms = backprojection_matrices(A, B, y)
         del A, y  # release this trial's design before the next one is drawn
-        devs[t] = np.linalg.svd(Ms - expected, compute_uv=False)[:, 0]
+        devs[t] = np.linalg.svd(Ms - truth.products[0], compute_uv=False)[:, 0]
     return devs
 
 
@@ -272,6 +271,8 @@ def _loo(dims, kappa, sigma, seed, *, l_set=(), n_holdout=8, loo_factor=0.1,
     stays below loo_factor times the initial distance to the truth.
     """
     n_holdout = _integer("n_holdout", n_holdout, 1)
+    if not 0 < loo_factor < math.inf:
+        raise ValueError(f"loo_factor must be > 0 and finite, got {loo_factor}")
     inst = make_instance(dims, kappa=kappa, sigma=sigma, seed=seed)
     if not l_set:
         gen = _rng.stream(seed, _rng.TAG_AUX)

@@ -1,6 +1,7 @@
 """The command-line front end: configs, exit codes, artifacts, reproducibility."""
 
 import json
+import math
 import subprocess
 import warnings
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from demix import cli, solver, verify
 from demix.cli import _READS, CSV_HEADER, SUMMARY_HEADER, load_config, main
 from demix.metrics import align_source
-from demix.problem import Dimensions, load_instance, make_instance
+from demix.problem import Dimensions, load_instance, make_instance, sample_ground_truth
+from demix.problem import synthesize_measurements
 from demix.solver import DegenerateIterateError, SolverConfig, run
 from demix.verify import NOISE_MODEL_NOTE
 
@@ -315,6 +317,42 @@ def test_readme_key_table_matches_the_reads_table():
         for exp in named:
             want = _READS[exp][key]
             assert documented == (list(want) if isinstance(want, tuple) else want), (key, exp)
+
+
+# config key -> the library entry point that reads it, called on a small
+# instance with the key set to v
+_LIBRARY_READERS = {
+    "eta": lambda inst, v: SolverConfig(eta=v),
+    "max_iters": lambda inst, v: SolverConfig(max_iters=v),
+    "stop_tol": lambda inst, v: SolverConfig(stop_tol=v),
+    "record_every": lambda inst, v: SolverConfig(record_every=v),
+    "kappa": lambda inst, v: sample_ground_truth(inst.dims, v, 0),
+    "sigma": lambda inst, v: synthesize_measurements(inst.truth, inst.A, v, 0),
+    "n_points": lambda inst, v: verify.check_rsc(inst, v, 0.1, 0),
+    "delta": lambda inst, v: verify.check_rsc(inst, 1, v, 0),
+    "n_trials": lambda inst, v: verify.spectral_concentration(inst.dims, 0.0, v, 0),
+    "m_sweep": lambda inst, v: verify.run_check("verify_spectral", inst.dims, 1.0, 0.0, 0,
+                                                m_sweep=[v], n_trials=1),
+    "n_holdout": lambda inst, v: verify.run_check("verify_loo", inst.dims, 1.0, 0.0, 0,
+                                                  n_holdout=v, max_iters=1),
+    "loo_factor": lambda inst, v: verify.run_check("verify_loo", inst.dims, 1.0, 0.0, 0,
+                                                   loo_factor=v, max_iters=1),
+    "l_set": lambda inst, v: solver._check_held_out(v, inst.dims.m),
+}
+
+
+@pytest.mark.parametrize("key", [key for key, (_, low, _) in cli._NUMBERS.items()
+                                 if math.isfinite(low)])
+def test_library_refuses_what_the_cli_bound_refuses(key):
+    # the CLI checks each numeric key against its _NUMBERS bound, and the
+    # library entry point that reads the key holds the same bound itself
+    kind, low, excluded = cli._NUMBERS[key]
+    v = low if excluded else (low - 1 if kind is int else math.nextafter(low, -math.inf))
+    with pytest.raises(cli.UsageError):
+        cli._number(key, v, kind, low, excluded)
+    inst = make_instance(Dimensions(s=1, m=16, K=2), kappa=1.0, sigma=0.0, seed=0)
+    with pytest.raises(IndexError if key == "l_set" else ValueError):
+        _LIBRARY_READERS[key](inst, v)
 
 
 def test_missing_config_file(tmp_path, capsys):

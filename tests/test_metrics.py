@@ -187,15 +187,20 @@ def test_align_matches_high_precision_root():
         assert abs(alpha - want) <= 1e-14 * abs(want)
 
 
-@pytest.mark.parametrize("c", [1e150, 1e200, 1e300])
-def test_align_refuses_an_overflowing_pair_with_linalg_error(c):
-    # the sextic's coefficients overflow, and eigvals refuses them; the
-    # float code before and after it raises no OverflowError or ValueError
+@pytest.mark.parametrize(
+    "ch, cx, c_ref",
+    [(1e150, 1.0, 1.0), (1e200, 1.0, 1.0), (1e300, 1.0, 1.0), (1e-44, 3.7e175, 1e-220)],
+    ids=["1e+150", "1e+200", "1e+300", "overflowing-norm"],
+)
+def test_align_refuses_an_overflowing_pair_with_linalg_error(ch, cx, c_ref):
+    # the sextic's coefficients overflow, and eigvals refuses them, or ||x||^2
+    # overflows while the sextic stays finite, and align_source refuses it
+    # up front; the float code raises no OverflowError or ValueError
     gen = np.random.default_rng(54)
     h, x, h_ref, x_ref = _pair(gen)
     with np.errstate(all="ignore"):
         with pytest.raises(np.linalg.LinAlgError):
-            align_source(h * c, x, h_ref, x_ref)
+            align_source(h * ch, x * cx, h_ref * c_ref, x_ref * c_ref)
 
 
 def _stacked_cases(seed, K=6):
