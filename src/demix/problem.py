@@ -214,10 +214,10 @@ def make_dft_rows(m: int, K: int) -> np.ndarray:
 
     b_j[k] = exp(-2*pi*i*j*k/m) / sqrt(m), zero-based j and k. The rows
     satisfy sum_j b_j b_j^* = I_K and ||b_j||^2 = K/m. The last (m, K) is
-    cached, so every instance of one size holds this same read-only array
-    as its B, and forward_parts and combine_rows take their products with
-    it by FFT. m and K are checked as Dimensions' sizes are; the cache is
-    typed, so a bool is never taken for its cached integer.
+    cached, so every instance of one size holds this same read-only array as
+    its B, the dense form of row_products and combine_rows. m and K are
+    checked as Dimensions' sizes are; the cache is typed, so a bool is never
+    taken for its cached integer.
     """
     Dimensions(s=1, m=m, K=K)
     j = np.arange(m)[:, None]
@@ -271,10 +271,8 @@ def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray, D=
 
     This is the single arithmetic path shared by synthesis, residual and
     gradient evaluation, so state == truth reproduces y - e bit for bit, and
-    it is the only pass over A. B is make_dft_rows(m, K), of which only the
-    shape is read: column i of P is the unitary inverse DFT of h_i
-    zero-padded to length m, formed as a contiguous (s, m) array whose
-    transposed view is returned. Q and QD are both A_i conj(v_i), taken as
+    it is the only pass over A. P is row_products(H, m).T, m read off B =
+    make_dft_rows(m, K). Q and QD are both A_i conj(v_i), taken as
     one real product of A's float view (s, m, 2K) with an (s, 2K, 4) matrix
     whose columns are the float views of x_i, i x_i, d_i and i d_i. D = None
     leaves QD zero: the width stays 4, so Q has the same bits whether or not
@@ -296,14 +294,22 @@ def forward_parts(H: np.ndarray, X: np.ndarray, A: np.ndarray, B: np.ndarray, D=
         np.matmul(Af[:, j : j + rows], W, out=R[:, j : j + rows])
     R = R.view(complex)
     Q = R[:, :, 0]
-    P = np.fft.ifft(H, n=B.shape[0], axis=1, norm="ortho").T
+    P = row_products(H, B.shape[0]).T
     fwd = np.sum(P.T * Q, axis=0)
     return P, Q, fwd, R[:, :, 1]
 
 
+def row_products(H: np.ndarray, m: int) -> np.ndarray:
+    """b_j^* h, j < m, for each row h of the (..., K) array H, as (..., m): h's
+    unitary inverse DFT zero-padded to length m. m < K would crop h: refused."""
+    if m < H.shape[-1]:
+        raise ValueError(f"row_products needs m >= K, got m={m} and K={H.shape[-1]}")
+    return np.fft.ifft(H, n=m, axis=-1, norm="ortho")
+
+
 def combine_rows(W: np.ndarray, K: int) -> np.ndarray:
-    """W @ B, the (s, K) sums sum_j W[i, j] b_j, for B = make_dft_rows(m, K):
-    the first K entries of each row's unitary DFT."""
+    """W @ B, the sums sum_j W[i, j] b_j for B = make_dft_rows(m, K), by FFT:
+    the first K entries of each row's unitary DFT, the adjoint of row_products."""
     return np.fft.fft(W, axis=1, norm="ortho")[:, :K]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng, metrics
+from . import _rng, metrics, problem
 # _gradient_full is not called here; perfbench asserts that tracing rewraps it here too
 from .objective import DemixState, _gradient_full, _source_curvatures
 from .problem import Dimensions, ProblemInstance, _integer, forward_parts, make_dft_rows
@@ -49,6 +49,9 @@ class RscReport:
     2 sum_i (d_i v_i)^T M_i v_i / sum_i ||v_i||^2 over every direction v
     orthogonal to the gauge, with M_i the real clean curvature of source i at
     the point; smoothness_max is the largest |eigenvalue| of any sampled M_i.
+    M_i grows with d_i, so a check passes only if every M_i's largest
+    |eigenvalue| is at most (2 + s) d_i / 2, which is 2 + s at kappa = 1; it
+    also needs min_quadratic_ratio >= 1 / (4 kappa).
     Once the draw budget is spent, a point draw keeps a candidate that breaks
     its side condition; sampling_failures counts those, and a check with any
     does not pass. The field is named `passed` because `pass` is reserved in
@@ -125,8 +128,7 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
             nd = np.linalg.norm(d)
             if nd > 0:
                 v[:] = center + (rho * gen.random() ** (1.0 / (2 * K)) / nd) * d
-                # |b_j^* v| over j, off the unitary inverse DFT as forward_parts forms P
-                if on_h and np.max(np.abs(np.fft.ifft(v, n=m, norm="ortho"))) <= lim_h[i]:
+                if on_h and np.max(np.abs(problem.row_products(v, m))) <= lim_h[i]:
                     break
                 if not on_h and np.max(np.abs(inst.A[i] @ np.conj(v - center))) <= lim_x[i]:
                     break
@@ -141,9 +143,12 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
 
     min_ratio = math.inf
     smooth_max = 0.0
+    smooth = True
     for z, beta in zip(points, betas):
         for i, M in enumerate(_source_curvatures(z, inst, fwd_truth)):
-            smooth_max = max(smooth_max, float(np.max(np.abs(np.linalg.eigvalsh(M)))))
+            top = float(np.max(np.abs(np.linalg.eigvalsh(M))))
+            smooth_max = max(smooth_max, top)
+            smooth &= top <= (2.0 + s) * truth.d[i] / 2.0
             min_ratio = min(min_ratio, _gauge_free_minimum(z.h[i], z.x[i], M, beta[i]))
 
     return RscReport(
@@ -152,8 +157,7 @@ def check_rsc(inst: ProblemInstance, n_points: int, delta: float, rng_seed: int)
         smoothness_max=smooth_max,
         kappa=float(kappa),
         s=s,
-        passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth_max <= 2.0 + s
-                    and not failures),
+        passed=bool(min_ratio >= 1.0 / (4.0 * kappa) and smooth and not failures),
         sampling_failures=failures,
     )
 

@@ -77,6 +77,22 @@ def test_only_the_count_and_number_rules_test_for_a_bool():
     assert stray == []
 
 
+def test_only_problem_takes_an_fft():
+    # problem.row_products and problem.combine_rows are the DFT rows' products;
+    # every other module calls them instead of transforming on its own
+    stray = []
+    for path in sorted(Path(demix.__file__).parent.glob("*.py")):
+        if path.stem == "problem":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stray += [
+            f"{path.stem}.py:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "fft"
+            and getattr(n.value, "id", None) in ("np", "numpy")
+        ]
+    assert stray == []
+
+
 def test_readme_references_resolve():
     # a dotted name under demix (`problem.forward_parts`, `demix.verify.CHECKS`)
     # and a `test_*.py::name` reference must each name something that exists

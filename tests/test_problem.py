@@ -88,6 +88,13 @@ def test_dft_rows_are_read_only_and_take_the_fft_path():
     H = _complex(np.random.default_rng(1), (2, 3))
     P = forward_parts(H, H, np.zeros((2, 7, 3), complex), B)[0]
     assert P.tobytes() == np.fft.ifft(H, n=7, axis=1, norm="ortho").T.tobytes()
+    # row_products on an (s, K) stack, as forward_parts and incoherence_mu
+    # pass it, and on one (K,) vector, as check_rsc passes it
+    for v in (H, H[1]):
+        assert problem.row_products(v, 7).tobytes() == np.fft.ifft(
+            v, n=7, axis=-1, norm="ortho").tobytes()
+    with pytest.raises(ValueError, match="m >= K, got m=2 and K=3"):
+        problem.row_products(H, 2)
 
 
 def _zeroed_row(B):

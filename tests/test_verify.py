@@ -148,6 +148,17 @@ def test_check_rsc_small_instance():
     assert rep.smoothness_max <= 3.0  # 2 + s
 
 
+def test_check_rsc_bounds_each_source_by_its_own_scale():
+    # M_i grows with d_i (here d = (2, 4.5)), so the largest |eigenvalue| of
+    # all sources passes 2 + s while each source's stays within (2 + s) d_i / 2
+    inst = make_instance(Dimensions(s=2, m=400, K=6), kappa=1.5, sigma=0.05, seed=1)
+    rep = check_rsc(inst, n_points=50, delta=0.1, rng_seed=1)
+    assert rep.sampling_failures == 0
+    assert rep.min_quadratic_ratio >= 1.0 / (4.0 * rep.kappa)
+    assert rep.smoothness_max > 2.0 + rep.s
+    assert rep.passed is True
+
+
 def test_check_rsc_takes_the_exact_minimum_orthogonal_to_the_gauge(monkeypatch):
     # a point's ratio is the minimum over every direction orthogonal to the
     # gauge tangents of its sources: random such directions never go below
